@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -153,6 +154,26 @@ def test_argparse_rejects_unknown_sphere(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify-j", "--sphere", "3"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("classify", "--range", "1..200", "--json"),
+            "e4c2456dd754749eda19376594f6fc115b0835b98726518c4dc0f8c55143b6cd",
+        ),
+        (
+            ("lpoly", "--k", "6", "--latex"),
+            "6fd0c95fdbfd2ec57fcda7b6e007a679a4b4c83c674bf8207ca11691a9e7ed06",
+        ),
+    ],
+)
+def test_stdout_snapshot(capsys, monkeypatch, argv, digest):
+    monkeypatch.delenv("ACSTK_SEED", raising=False)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_json_output_is_byte_identical_across_runs(capsys):
