@@ -15,7 +15,6 @@ from .cayley_dickson import (
     CDElement,
     associator,
     basis_product,
-    cd_multiply,
     embed,
     probe_alternative,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "associator",
     "basis_product",
     "bernoulli",
-    "cd_multiply",
     "chern_character",
     "classify_range",
     "classify_sphere",

@@ -201,11 +201,6 @@ class CDElement:
         return out
 
 
-def cd_multiply(a: CDElement, b: CDElement) -> CDElement:
-    """Product under the recursive doubling rule; alias for ``a * b``."""
-    return a * b
-
-
 def associator(u: CDElement, v: CDElement, w: CDElement) -> CDElement:
     """(u*v)*w - u*(v*w).  Vanishes identically up to level 2, alternates
     at level 3, and fails to alternate from level 4 on."""

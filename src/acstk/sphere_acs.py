@@ -326,8 +326,11 @@ class JVerificationReport:
 
 def verify_j_structure(sphere_dim: int, samples: int, seed: int = 0) -> JVerificationReport:
     """Check J^2 v = -v, tangency of Jv and |Jv|^2 = |v|^2 exactly on
-    `samples` random stereographic points with random rational tangents."""
+    `samples` random stereographic points with random rational tangents.
+    At least one sample is required, so a report never passes vacuously."""
     _level_for(sphere_dim)
+    if samples < 1:
+        raise ValueError(f"need at least 1 sample, got {samples}")
     rng = random.Random(seed)
     squared = tangent = normed = True
     example = None
@@ -348,6 +351,5 @@ def verify_j_structure(sphere_dim: int, samples: int, seed: int = 0) -> JVerific
         squared,
         tangent,
         normed,
-        example[0] if example else None,
-        example[1] if example else None,
+        *example,
     )

@@ -150,6 +150,20 @@ def test_bad_vector_input(capsys):
     assert code == 2 and "ambient imaginary components" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify-j", "--sphere", "6", "--samples", "0"),
+        ("verify-j", "--sphere", "6", "--samples", "-3"),
+        ("classify", "6", "--samples", "0"),
+    ],
+)
+def test_zero_samples_is_invalid_input(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "at least 1 sample" in err
+
+
 def test_argparse_rejects_unknown_sphere(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify-j", "--sphere", "3"])

@@ -164,18 +164,25 @@ def test_substitute_power_sums_at_random_points():
             assert substitute(newton_polynomial(k), values) == sum(b**k for b in beta)
 
 
-def test_ring_axioms_randomized():
+@pytest.mark.parametrize(
+    "make",
+    [
+        MultiPoly,
+        lambda variables, terms: GradedPoly(variables, (1, 2, 3), terms),
+    ],
+    ids=["unit-weights", "weights-1-2-3"],
+)
+def test_ring_axioms_randomized(make):
     rng = random.Random(2)
     variables = ("x", "y", "z")
     for _ in range(25):
-        a = random_multipoly(variables, rng)
-        b = random_multipoly(variables, rng)
-        c = random_multipoly(variables, rng)
+        a, b, c = (make(variables, random_multipoly(variables, rng).terms) for _ in range(3))
         assert a + b == b + a
         assert a * b == b * a
         assert (a + b) * c == a * c + b * c
         assert (a * b) * c == a * (b * c)
-        assert a - a == MultiPoly.zero(variables)
+        assert a**3 == a * a * a
+        assert a - a == make(variables, {})
 
 
 def test_multipoly_diff_and_evaluate():
