@@ -181,6 +181,14 @@ def test_argparse_rejects_unknown_sphere(capsys):
             ("lpoly", "--k", "6", "--latex"),
             "6fd0c95fdbfd2ec57fcda7b6e007a679a4b4c83c674bf8207ca11691a9e7ed06",
         ),
+        (
+            ("lpoly", "--k", "8"),
+            "39c56c5a8b6661ace1be876207ac8e079074bf527fc49f5e61f4e36c82869bc0",
+        ),
+        (
+            ("lpoly", "--k", "8", "--latex"),
+            "f0a85c9f650b7487f5592b5a71f22ff1f9c7737e9a90bd552ab30dbd74c62278",
+        ),
     ],
 )
 def test_stdout_snapshot(capsys, monkeypatch, argv, digest):
