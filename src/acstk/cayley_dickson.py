@@ -24,6 +24,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Union
 
+from .symfun import _join_signed
+
 Rational = Union[int, Fraction]
 
 #: Exhaustive probes refuse to run above this level; basis-triple
@@ -193,12 +195,7 @@ class CDElement:
                 parts.append(f"-{name}")
             else:
                 parts.append(f"{c}*{name}")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return _join_signed(parts)
 
 
 def associator(u: CDElement, v: CDElement, w: CDElement) -> CDElement:

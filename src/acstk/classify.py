@@ -184,6 +184,8 @@ def classify_sphere(n: int, samples: int = 25, seed: int = 0) -> SphereVerdict:
     none does (exactly at n = 2 and n = 6)."""
     if n < 1:
         raise ValueError(f"sphere dimension must be at least 1, got {n}")
+    if samples < 1:
+        raise ValueError(f"need at least 1 sample, got {samples}")
 
     odd = check_odd(n)
     if odd is not None:

@@ -28,6 +28,10 @@ from .sphere_acs import (
     verify_j_structure,
 )
 
+#: Largest `lpoly --k`; L_1..L_20 take a few seconds, and the cost grows
+#: with the number of partitions of k.
+LPOLY_MAX_K = 20
+
 
 def _default_seed() -> int:
     raw = os.environ.get("ACSTK_SEED", "0")
@@ -86,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="sampling seed (default: ACSTK_SEED or 0)")
 
     p = sub.add_parser("lpoly", help="print the L-polynomials L_1..L_K exactly")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=int, required=True, help=f"highest index K, 1..{LPOLY_MAX_K}")
     p.add_argument("--latex", action="store_true")
 
     p = sub.add_parser("series", help="print power-series coefficients")
@@ -159,6 +163,8 @@ def _verdict_witness(v) -> str:
 def _cmd_lpoly(args) -> int:
     if args.k < 1:
         raise ValueError("--k must be at least 1")
+    if args.k > LPOLY_MAX_K:
+        raise ValueError(f"--k must be at most {LPOLY_MAX_K}")
     for k in range(1, args.k + 1):
         poly = l_polynomial(k)
         print(f"L_{k} = {poly.latex() if args.latex else poly}")

@@ -2,6 +2,11 @@
 Q-series, L-polynomials, their leading coefficients s_k, and the Chern
 character.
 
+The L-polynomials are Hirzebruch's multiplicative sequence of Q, built
+directly in the Pontryagin classes p_1..p_k from log Q and the Newton
+polynomials (no expansion in root variables), and each one is checked
+against the signature theorem on CP^{2k}.
+
 Bernoulli indexing note: throughout this module B_k means the k-th member
 of the classical *positive* sequence B_1 = 1/6, B_2 = 1/30, B_3 = 1/42,
 ..., i.e. B_k here equals |B_{2k}| in the modern even-index convention.
@@ -18,13 +23,7 @@ from functools import lru_cache
 from typing import Sequence, Union
 
 from .errors import InternalInvariantError
-from .symfun import (
-    GradedPoly,
-    MultiPoly,
-    beta_variables,
-    power_sums_from_values,
-    reduce_to_elementary,
-)
+from .symfun import GradedPoly, _join_signed, power_sums_from_values
 
 Rational = Union[int, Fraction]
 
@@ -212,12 +211,8 @@ class PowerSeries:
                     parts.append(f"-{z}")
                 else:
                     parts.append(f"{c}*{z}")
-        if not parts:
-            return f"O(z^{self.order + 1})"
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out + f" + O(z^{self.order + 1})"
+        parts.append(f"O(z^{self.order + 1})")
+        return _join_signed(parts)
 
     def __repr__(self):
         return f"PowerSeries({self!s})"
@@ -330,50 +325,42 @@ def s_coefficient(k: int) -> Fraction:
 # L-polynomials
 
 
-def _l_polynomial_in_m_roots(k: int, m: int) -> GradedPoly:
-    """Coefficient of z^k in prod_i Q(b_i z) over m root variables,
-    reduced to the elementary basis and renamed to p-generators."""
-    q = q_series(k)
-    variables = beta_variables(m)
-    coeffs = [MultiPoly.constant(variables, 1)] + [
-        MultiPoly.zero(variables) for _ in range(k)
-    ]
-    for name in variables:
-        b = MultiPoly.variable(variables, name)
-        powers = [MultiPoly.constant(variables, 1)]
-        for _ in range(k):
-            powers.append(powers[-1] * b)
-        factor = [powers[j] * q.coefficient(j) for j in range(k + 1)]
-        new = [MultiPoly.zero(variables) for _ in range(k + 1)]
-        for i in range(k + 1):
-            if coeffs[i].is_zero():
-                continue
-            for j in range(k + 1 - i):
-                new[i + j] = new[i + j] + coeffs[i] * factor[j]
-        coeffs = new
-    reduced = reduce_to_elementary(coeffs[k])
-    sigma_gens = tuple(f"s{i}" for i in range(1, k + 1))
-    reduced = reduced.restrict_generators(sigma_gens)
-    return reduced.rename_generators(
-        {f"s{i}": f"p{i}" for i in range(1, k + 1)}
-    )
-
-
 @lru_cache(maxsize=None)
 def l_polynomial(k: int) -> GradedPoly:
     """The k-th L-polynomial in p_1..p_k (weights 1..k):
     L_1 = p1/3, L_2 = (7 p2 - p1^2)/45, ...
 
-    Computed with k root variables and re-derived with k + 1 as a
-    stability check; the two must match exactly.
+    Hirzebruch's multiplicative sequence of Q: with log Q(z) = sum a_j z^j
+    and the Newton polynomials nu_j(p), L_k is the weight-k part of
+    exp(sum_j a_j nu_j), built by the recursion
+    E_n = (1/n) sum_{j<=n} j a_j nu_j E_{n-j}.  Checked against the
+    signature theorem on CP^{2k}: with p_j = C(2k+1, j) the value of L_k
+    must be sigma(CP^{2k}) = 1.
     """
     if k < 1:
         raise ValueError(f"L-polynomials are indexed from 1, got {k}")
-    lk = _l_polynomial_in_m_roots(k, k)
-    stable = _l_polynomial_in_m_roots(k, k + 1)
-    if lk != stable:
+    gens = tuple(f"p{i}" for i in range(1, k + 1))
+    weights = tuple(range(1, k + 1))
+    zero = GradedPoly.zero(gens, weights)
+    p = [GradedPoly.generator(gens, weights, g) for g in gens]
+    nus = power_sums_from_values(p, k, zero)
+    q = q_series(k).coeffs
+    # ja[j] = j * a_j from j a_j = j q_j - sum_{i<j} i a_i q_{j-i}
+    ja = [Fraction(0)]
+    for j in range(1, k + 1):
+        ja.append(j * q[j] - sum(ja[i] * q[j - i] for i in range(1, j)))
+    terms = [None] + [nus[j - 1] * ja[j] for j in range(1, k + 1)]
+    e = [GradedPoly.constant(gens, weights, 1)]
+    for n in range(1, k + 1):
+        acc = zero
+        for j in range(1, n + 1):
+            acc = acc + terms[j] * e[n - j]
+        e.append(acc * Fraction(1, n))
+    lk = e[k]
+    signature = lk.evaluate([math.comb(2 * k + 1, j) for j in weights])
+    if signature != 1:
         raise InternalInvariantError(
-            f"L_{k} differs between {k} and {k + 1} root variables"
+            f"L_{k} gives signature {signature} on CP^{2 * k}, expected 1"
         )
     return lk
 

@@ -2,17 +2,21 @@
 
 Everything here deliberately avoids the code paths it is used to check:
 the quaternion table is hardcoded, Bernoulli numbers come from the
-classical recurrence, and the Nijenhuis oracle differentiates vector
-fields by exact finite differences (central differences with Richardson
-extrapolation are exact for polynomial maps of degree <= 4 at rational
-step sizes), never touching the polynomial machinery.
+classical recurrence, the L-polynomial oracle expands prod Q(b_i z) in
+root variables instead of running the multiplicative sequence, and the
+Nijenhuis oracle differentiates vector fields by exact finite differences
+(central differences with Richardson extrapolation are exact for
+polynomial maps of degree <= 4 at rational step sizes), never touching
+the polynomial machinery.
 """
 
 from fractions import Fraction
 from math import comb
 
 from acstk.cayley_dickson import CDElement
+from acstk.genera import q_series
 from acstk.sphere_acs import cross
+from acstk.symfun import GradedPoly, MultiPoly, beta_variables, reduce_to_elementary
 
 # Hardcoded quaternion multiplication table with i = e1, j = e2, k = e3:
 # i*j = k, j*k = i, k*i = j, squares of imaginary units are -1.
@@ -37,6 +41,33 @@ def classical_bernoulli(n_max: int) -> list[Fraction]:
 def positive_bernoulli_oracle(k: int) -> Fraction:
     """The k-th positive Bernoulli number |B_{2k}| from the recurrence."""
     return abs(classical_bernoulli(2 * k)[2 * k])
+
+
+def l_polynomial_in_roots(k: int, m: int) -> GradedPoly:
+    """L_k by root expansion: the coefficient of z^k in prod_i Q(b_i z)
+    over m >= k root variables, reduced to the elementary basis and
+    renamed to p-generators."""
+    q = q_series(k)
+    variables = beta_variables(m)
+    coeffs = [MultiPoly.constant(variables, 1)] + [
+        MultiPoly.zero(variables) for _ in range(k)
+    ]
+    for name in variables:
+        b = MultiPoly.variable(variables, name)
+        powers = [MultiPoly.constant(variables, 1)]
+        for _ in range(k):
+            powers.append(powers[-1] * b)
+        factor = [powers[j] * q.coefficient(j) for j in range(k + 1)]
+        new = [MultiPoly.zero(variables) for _ in range(k + 1)]
+        for i in range(k + 1):
+            if coeffs[i].is_zero():
+                continue
+            for j in range(k + 1 - i):
+                new[i + j] = new[i + j] + coeffs[i] * factor[j]
+        coeffs = new
+    reduced = reduce_to_elementary(coeffs[k])
+    reduced = reduced.restrict_generators(tuple(f"s{i}" for i in range(1, k + 1)))
+    return reduced.rename_generators({f"s{i}": f"p{i}" for i in range(1, k + 1)})
 
 
 def _as_imaginary(level, coords):

@@ -57,6 +57,12 @@ def test_lpoly_output(capsys):
     assert code == 2
 
 
+def test_lpoly_k_is_capped(capsys):
+    code, out, err = run(capsys, "lpoly", "--k", "21")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "at most 20" in err
+
+
 def test_series_q(capsys):
     code, out, _ = run(capsys, "series", "q", "--order", "2")
     assert code == 0
@@ -156,6 +162,8 @@ def test_bad_vector_input(capsys):
         ("verify-j", "--sphere", "6", "--samples", "0"),
         ("verify-j", "--sphere", "6", "--samples", "-3"),
         ("classify", "6", "--samples", "0"),
+        ("classify", "--range", "3..5", "--samples", "0"),
+        ("classify", "4", "--samples", "-1"),
     ],
 )
 def test_zero_samples_is_invalid_input(capsys, argv):

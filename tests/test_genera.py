@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import acstk.genera as genera
+from acstk.errors import InternalInvariantError
 from acstk.genera import (
     PowerSeries,
     bernoulli,
@@ -16,10 +18,9 @@ from acstk.genera import (
     s_series,
     sinh_series,
     tanh_over_w_in_z,
-    _l_polynomial_in_m_roots,
 )
 from acstk.symfun import GradedPoly, newton_polynomial, substitute
-from oracles import positive_bernoulli_oracle
+from oracles import l_polynomial_in_roots, positive_bernoulli_oracle
 
 
 def series(*coeffs):
@@ -130,9 +131,33 @@ def test_l_polynomial_golden_values():
 
 def test_l_polynomial_stability_in_extra_roots():
     for k in (1, 2, 3, 4):
-        base = _l_polynomial_in_m_roots(k, k)
-        assert base == _l_polynomial_in_m_roots(k, k + 1)
-        assert base == _l_polynomial_in_m_roots(k, k + 2)
+        base = l_polynomial_in_roots(k, k)
+        assert base == l_polynomial_in_roots(k, k + 1)
+        assert base == l_polynomial_in_roots(k, k + 2)
+
+
+def test_l_polynomial_matches_root_expansion_oracle():
+    for k in range(1, 7):
+        assert l_polynomial(k) == l_polynomial_in_roots(k, k)
+
+
+def test_l_polynomial_signature_of_complex_projective_space():
+    # p(CP^{2k}) = (1 + x^2)^{2k+1}, so p_j = C(2k+1, j) and sigma = 1
+    for k in range(1, 13):
+        values = {f"p{j}": math.comb(2 * k + 1, j) for j in range(1, k + 1)}
+        assert l_polynomial(k).evaluate(values) == 1
+
+
+def test_l_polynomial_self_check_fires(monkeypatch):
+    # a wrong Q-series gives a wrong L_3, which the CP^6 check must catch
+    wrong = PowerSeries([1, Fraction(1, 3), Fraction(-1, 45), 0])
+    monkeypatch.setattr(genera, "q_series", lambda order: wrong.truncate(order))
+    l_polynomial.cache_clear()
+    try:
+        with pytest.raises(InternalInvariantError, match="CP\\^6"):
+            l_polynomial(3)
+    finally:
+        l_polynomial.cache_clear()
 
 
 def test_l_polynomial_homogeneity_and_positivity():
