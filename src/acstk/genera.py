@@ -4,8 +4,8 @@ character.
 
 The L-polynomials are Hirzebruch's multiplicative sequence of Q, built
 directly in the Pontryagin classes p_1..p_k from log Q and the Newton
-polynomials (no expansion in root variables), and each one is checked
-against the signature theorem on CP^{2k}.
+polynomials, and each one is checked against the signature theorem on
+CP^{2k}.
 
 Bernoulli indexing note: throughout this module B_k means the k-th member
 of the classical *positive* sequence B_1 = 1/6, B_2 = 1/30, B_3 = 1/42,
@@ -349,12 +349,12 @@ def l_polynomial(k: int) -> GradedPoly:
     ja = [Fraction(0)]
     for j in range(1, k + 1):
         ja.append(j * q[j] - sum(ja[i] * q[j - i] for i in range(1, j)))
-    terms = [None] + [nus[j - 1] * ja[j] for j in range(1, k + 1)]
+    ja_nus = [nu * c for nu, c in zip(nus, ja[1:])]
     e = [GradedPoly.constant(gens, weights, 1)]
     for n in range(1, k + 1):
         acc = zero
         for j in range(1, n + 1):
-            acc = acc + terms[j] * e[n - j]
+            acc = acc + ja_nus[j - 1] * e[n - j]
         e.append(acc * Fraction(1, n))
     lk = e[k]
     signature = lk.evaluate([math.comb(2 * k + 1, j) for j in weights])

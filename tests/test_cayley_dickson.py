@@ -238,6 +238,12 @@ def test_serialization_round_trip():
     assert CDElement.from_dict(data) == a
 
 
+def test_str_rendering():
+    assert str(CDElement(2, (0, 0, 0, 0))) == "0"
+    assert str(CDElement(2, (0, -1, Fraction(3, 2), -2))) == "-e1 + 3/2*e2 - 2*e3"
+    assert str(CDElement(2, (-3, 1, 0, 1))) == "-3 + e1 + e3"
+
+
 def test_coefficient_validation():
     with pytest.raises(ValueError, match="4 coefficients"):
         CDElement(2, (1, 2, 3))

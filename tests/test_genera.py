@@ -38,6 +38,12 @@ def test_series_basic_arithmetic():
     assert 2 * series(1, 3) == series(2, 6)
 
 
+def test_series_rendering():
+    assert str(PowerSeries.zero(3)) == "O(z^4)"
+    assert str(PowerSeries([Fraction(-1, 2), -1, 0, 3], order=4)) == "-1/2 - z + 3*z^3 + O(z^5)"
+    assert str(series(0, 1, -2)) == "z - 2*z^2 + O(z^3)"
+
+
 def test_series_order_tracking():
     a = PowerSeries([1, 2, 3, 4], order=3)
     b = PowerSeries([1, 1], order=1)
