@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -212,6 +214,19 @@ def test_probe_alternative_levels():
     value = associator(u, u, v)
     assert value == report.witness_associator
     assert value
+
+
+@pytest.mark.parametrize(
+    "level, samples, digest",
+    [
+        (4, 200, "b58ff60df063ecc136ed12cba4444acdf580d7f8091702a3bc5beb767933f4d7"),
+        (5, 20, "342f063bad97e630e557553a422795458870c489fc59873d99ab8700b4c71dad"),
+    ],
+)
+def test_probe_alternative_snapshot(level, samples, digest):
+    data = probe_alternative(level, samples=samples).as_dict()
+    text = json.dumps(data, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_probe_cost_guard():

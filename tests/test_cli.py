@@ -197,6 +197,25 @@ def test_argparse_rejects_unknown_sphere(capsys):
             ("lpoly", "--k", "8", "--latex"),
             "f0a85c9f650b7487f5592b5a71f22ff1f9c7737e9a90bd552ab30dbd74c62278",
         ),
+        (
+            ("verify-j", "--sphere", "6", "--samples", "40", "--seed", "3", "--json"),
+            "51a03ad48e90884a874ae0bdab478e521a23e24ba1f7a07d48c3a29bf339c4c0",
+        ),
+        (
+            (
+                "nijenhuis", "--sphere", "6", "--point", "1/2,-1,2/3,0,3,-5/7",
+                "--u", "1,2,0,-1,1/2,3,0", "--v", "0,1,-2,1/3,0,1,1", "--json",
+            ),
+            "33db9c20082fe741a3dddf95c96c7801254726becda452ee544642b700408b92",
+        ),
+        (
+            (
+                "assoc-compare", "--sphere", "6", "--point", "2,0,-1/3,1,0,1/4",
+                "--u", "0,1,0,2,-1,0,1", "--v", "1,0,1,0,0,-3,1/2",
+                "--w", "0,0,1,1,1,0,-2", "--json",
+            ),
+            "09f2656a86148738139f599418354fe81d41b9f81e0e4709d0b0b64b5e887309",
+        ),
     ],
 )
 def test_stdout_snapshot(capsys, monkeypatch, argv, digest):
