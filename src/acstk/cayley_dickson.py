@@ -7,13 +7,18 @@ level 4 the sedenions.  Coefficients are exact `fractions.Fraction`
 values throughout, so structural claims (a nonzero associator, a failed
 norm identity) are decided exactly instead of numerically.
 
-The doubling product used everywhere is
+The doubling rule
 
     (a1, a2) * (b1, b2) = (a1*b1 - conj(b2)*a2,  b2*a1 + a2*conj(b1))
 
-with conj(x1, x2) = (conj(x1), -x2).  Basis vectors are written
-e_0 = 1, e_1, ..., e_{2^n - 1}; with this convention the level-2 basis
-satisfies e1*e2 = e3, e2*e3 = e1, e3*e1 = e2.
+with conj(x1, x2) = (conj(x1), -x2) is encoded once, in the structure
+constants `basis_product` (e_i * e_j = +-e_k).  Products run through a
+cached per-level table of them: both operands are cleared to integer
+numerators over one common denominator, the signed integer products are
+accumulated, and each coefficient becomes a `Fraction` once at the end.
+Basis vectors are written e_0 = 1, e_1, ..., e_{2^n - 1}; with this
+convention the level-2 basis satisfies e1*e2 = e3, e2*e3 = e1,
+e3*e1 = e2.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, Optional, Union
 
 from .symfun import _join_signed
@@ -37,22 +43,10 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def _conj_tuple(a):
-    return (a[0],) + tuple(-c for c in a[1:])
-
-
-def _mul_tuple(a, b):
-    if len(a) == 1:
-        return (a[0] * b[0],)
-    h = len(a) // 2
-    a1, a2, b1, b2 = a[:h], a[h:], b[:h], b[h:]
-    first = tuple(
-        x - y for x, y in zip(_mul_tuple(a1, b1), _mul_tuple(_conj_tuple(b2), a2))
-    )
-    second = tuple(
-        x + y for x, y in zip(_mul_tuple(b2, a1), _mul_tuple(a2, _conj_tuple(b1)))
-    )
-    return first + second
+def _over_common_denominator(coeffs) -> tuple[list[int], int]:
+    """Integer numerators n_i and one denominator d with coeffs[i] = n_i/d."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 @dataclass(frozen=True)
@@ -132,7 +126,15 @@ class CDElement:
     def __mul__(self, other):
         if isinstance(other, CDElement):
             self._check_level(other, "multiply")
-            return CDElement(self.level, _mul_tuple(self.coeffs, other.coeffs))
+            a, da = _over_common_denominator(self.coeffs)
+            b, db = _over_common_denominator(other.coeffs)
+            acc = [0] * len(a)
+            for x, row in zip(a, _product_table(self.level)):
+                if x:
+                    for y, (k, sign) in zip(b, row):
+                        acc[k] += sign * x * y
+            den = da * db
+            return CDElement(self.level, tuple(Fraction(n, den) for n in acc))
         if isinstance(other, (int, Fraction)):
             q = _frac(other)
             return CDElement(self.level, tuple(a * q for a in self.coeffs))
@@ -151,7 +153,7 @@ class CDElement:
 
     def conjugate(self) -> "CDElement":
         """Negate every imaginary coefficient (real part is preserved)."""
-        return CDElement(self.level, _conj_tuple(self.coeffs))
+        return CDElement(self.level, self.coeffs[:1] + tuple(-x for x in self.coeffs[1:]))
 
     def norm_sq(self) -> Fraction:
         """Sum of squared coefficients; equals the real part of a * conj(a)."""
@@ -240,6 +242,16 @@ def basis_product(level: int, i: int, j: int) -> tuple[int, int]:
     if j - h != 0:
         s = -s
     return (-s, k)
+
+
+@lru_cache(maxsize=None)
+def _product_table(level: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Row i lists (k, sign) with e_i * e_j = sign * e_k for j = 0, 1, ..."""
+    dim = 1 << level
+    return tuple(
+        tuple((k, sign) for sign, k in (basis_product(level, i, j) for j in range(dim)))
+        for i in range(dim)
+    )
 
 
 def _basis_associator(level: int, a: int, b: int, c: int) -> Optional[tuple[int, int]]:
@@ -339,12 +351,7 @@ def probe_alternative(level: int, samples: int = 200, seed: int = 0) -> Alternat
                 basis_checks += 1
                 if _basis_associator(level, a, b, c) is not None:
                     u, v = CDElement.basis(level, i), CDElement.basis(level, j)
-                    trip = {
-                        "[u,u,v]": (u, u, v),
-                        "[u,v,v]": (u, v, v),
-                        "[u,v,u]": (u, v, u),
-                    }[form]
-                    val = associator(*trip)
+                    val = associator(*(CDElement.basis(level, x) for x in (a, b, c)))
                     if val:
                         witness = (form, u, v, val)
                         break

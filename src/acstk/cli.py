@@ -2,9 +2,9 @@
 
 Subcommands: classify, lpoly, series, verify-j, nijenhuis, assoc-compare,
 bernoulli.  All rationals are printed reduced as "num/den" (denominator
-omitted when 1).  Exit codes: 0 on success, 2 on invalid input, 3 on an
-internal invariant violation.  The environment variable ACSTK_SEED
-overrides the default sampling seed 0.
+omitted when 1).  Exit codes: 0 on success, 2 on invalid input (including
+sizes above the caps below), 3 on an internal invariant violation.  The
+environment variable ACSTK_SEED overrides the default sampling seed 0.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -32,6 +33,23 @@ from .sphere_acs import (
 #: with the number of partitions of k.
 LPOLY_MAX_K = 20
 
+#: Largest `series --order`; q_series(300) takes a few seconds.
+SERIES_MAX_ORDER = 300
+
+#: Largest `bernoulli --k`; each B_k rebuilds q_series(k), so B_1..B_100
+#: take a few seconds.
+BERNOULLI_MAX_K = 100
+
+#: Most digits in one parsed rational (exponent digits included), and the
+#: largest magnitude of its decimal exponent.  Checked before `Fraction`
+#: sees the text, because `Fraction("1e99999999")` builds 10^99999999
+#: eagerly.  With every entry at the cap, `assoc-compare` on S^6 prints
+#: numerators and denominators of about 2000 digits, inside Python's
+#: 4300-digit limit for int-to-str conversion.
+RATIONAL_MAX_DIGITS = 100
+
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*$")
+
 
 def _default_seed() -> int:
     raw = os.environ.get("ACSTK_SEED", "0")
@@ -42,8 +60,19 @@ def _default_seed() -> int:
 
 
 def _parse_rationals(text: str, what: str) -> list[Fraction]:
+    parts = [part.strip() for part in text.split(",") if part.strip() != ""]
+    for part in parts:
+        # the digit count goes first, so int() never parses a long exponent
+        match = _EXPONENT.search(part)
+        if sum(map(str.isdigit, part)) > RATIONAL_MAX_DIGITS or (
+            match and abs(int(match[1])) > RATIONAL_MAX_DIGITS
+        ):
+            raise ValueError(
+                f"{what} entries may have at most {RATIONAL_MAX_DIGITS} digits and a "
+                f"decimal exponent of at most {RATIONAL_MAX_DIGITS} in absolute value"
+            )
     try:
-        return [Fraction(part.strip()) for part in text.split(",") if part.strip() != ""]
+        return [Fraction(part) for part in parts]
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"could not parse {what} as comma-separated rationals: {text!r}")
 
@@ -95,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", help="print power-series coefficients")
     p.add_argument("which", choices=["q"], help="series to print")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=int, required=True, help=f"highest power N, 0..{SERIES_MAX_ORDER}")
 
     p = sub.add_parser("verify-j", help="sample-check J^2 = -Id on S^2 or S^6")
     p.add_argument("--sphere", type=int, choices=[2, 6], required=True)
@@ -103,7 +132,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("nijenhuis", help="evaluate the Nijenhuis tensor at a rational point")
+    rational_cap = (
+        f"Each rational has at most {RATIONAL_MAX_DIGITS} digits and a decimal "
+        f"exponent of at most {RATIONAL_MAX_DIGITS} in absolute value."
+    )
+    p = sub.add_parser(
+        "nijenhuis", help="evaluate the Nijenhuis tensor at a rational point", epilog=rational_cap
+    )
     p.add_argument("--sphere", type=int, choices=[2, 6], required=True)
     p.add_argument("--point", required=True, help="stereographic parameters q1,q2,...")
     p.add_argument("--u", required=True, help="ambient imaginary components, projected to the tangent space")
@@ -113,6 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "assoc-compare",
         help="report <N(u,v), w> next to the associator [u,v,w] (no relation asserted)",
+        epilog=rational_cap,
     )
     p.add_argument("--sphere", type=int, choices=[2, 6], required=True)
     p.add_argument("--point", required=True)
@@ -122,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("bernoulli", help="print positive Bernoulli numbers B_1..B_K")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=int, required=True, help=f"highest index K, 1..{BERNOULLI_MAX_K}")
 
     return parser
 
@@ -174,6 +210,8 @@ def _cmd_lpoly(args) -> int:
 def _cmd_series(args) -> int:
     if args.order < 0:
         raise ValueError("--order must be non-negative")
+    if args.order > SERIES_MAX_ORDER:
+        raise ValueError(f"--order must be at most {SERIES_MAX_ORDER}")
     q = q_series(args.order)
     for k in range(args.order + 1):
         print(f"z^{k}: {q.coefficient(k)}")
@@ -236,6 +274,8 @@ def _cmd_assoc_compare(args) -> int:
 def _cmd_bernoulli(args) -> int:
     if args.k < 1:
         raise ValueError("--k must be at least 1")
+    if args.k > BERNOULLI_MAX_K:
+        raise ValueError(f"--k must be at most {BERNOULLI_MAX_K}")
     for k in range(1, args.k + 1):
         print(f"B_{k} = {bernoulli(k)}")
     return 0

@@ -5,20 +5,25 @@ evaluator.
 The 2-sphere sits in the imaginary part of the level-2 algebra and the
 6-sphere in the imaginary part of the level-3 algebra.  For a base point
 p and a tangent vector v, the structure is J_p(v) = p x v, where
-u x v = (uv - vu)/2 is the commutator cross product of imaginary
-elements.  Sphere points are produced by inverse stereographic
+u x v = (uv - vu)/2 = Im(uv) is the commutator cross product of
+imaginary elements.  Sphere points are produced by inverse stereographic
 projection, which keeps every coordinate an exact rational.
 
 The Nijenhuis tensor
 
     N(u, v) = [JU, JV] - [U, V] - J[JU, V] - J[U, JV]     (at p)
 
-is evaluated by extending tangent vectors to the polynomial vector
-fields U(x) = u - <u, x> x on the ambient imaginary space, extending J
-to (JW)(x) = x x W(x), taking exact ambient Lie brackets by symbolic
-differentiation, and letting the trailing J act at p.  No normalizing
-factor (such as 1/4) is applied; conventions only matter up to nonzero
-scale here and this one is fixed so frozen values stay stable.
+extends tangent vectors to the vector fields U(x) = u - <u, x> x on the
+ambient imaginary space and J to (JW)(x) = x x W(x).  An ambient bracket
+at p needs only the 1-jets of its fields there,
+[A, B](p) = DB_p(A(p)) - DA_p(B(p)), and for a tangent u these are
+
+    U(p) = u,  DU_p(w) = -<u, w> p,  (JU)(p) = p x u,  D(JU)_p(w) = w x u,
+
+so N is a handful of exact cross products; the trailing J acts at p.
+No normalizing factor (such as 1/4) is applied; conventions only matter
+up to nonzero scale here and this one is fixed so frozen values stay
+stable.
 """
 
 from __future__ import annotations
@@ -28,8 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .cayley_dickson import CDElement, associator, basis_product
-from .symfun import MultiPoly
+from .cayley_dickson import CDElement, associator
 
 #: sphere dimension -> level of the ambient doubling algebra
 SPHERE_LEVEL = {2: 2, 6: 3}
@@ -98,14 +102,15 @@ class TangentVector:
 def cross(u: CDElement, v: CDElement) -> CDElement:
     """Cross product (uv - vu)/2 of imaginary elements.
 
-    Equal to the imaginary part of u*v, and to u*v itself when u and v
+    Computed as the imaginary part of u*v, which is the same value because
+    vu = conj(uv) for imaginary u and v; equal to u*v itself when u and v
     are orthogonal.
     """
     u._check_level(v, "cross")
     for name, x in (("first", u), ("second", v)):
         if not x.is_imaginary():
             raise ValueError(f"cross product needs imaginary inputs; {name} has real part {x.real_part()}")
-    return (u * v - v * u) * Fraction(1, 2)
+    return (u * v).imaginary_part()
 
 
 def j_apply(t: TangentVector) -> TangentVector:
@@ -160,67 +165,7 @@ def random_tangent(p: SpherePoint, rng: random.Random) -> TangentVector:
 
 
 # ----------------------------------------------------------------------
-# Nijenhuis tensor via polynomial vector fields
-
-
-def _ambient_variables(level: int) -> tuple[str, ...]:
-    d = (1 << level) - 1
-    return tuple(f"x{i}" for i in range(1, d + 1))
-
-
-def _extension_field(u: CDElement, variables) -> list[MultiPoly]:
-    """The canonical tangent extension U(x) = u - <u, x> x as a polynomial
-    vector field on the ambient imaginary space (components on e_1..e_d)."""
-    d = len(variables)
-    coeffs = u.coeffs[1:]
-    inner = MultiPoly.zero(variables)
-    xs = [MultiPoly.variable(variables, v) for v in variables]
-    for c, x in zip(coeffs, xs):
-        if c:
-            inner = inner + x * c
-    return [MultiPoly.constant(variables, coeffs[i]) - inner * xs[i] for i in range(d)]
-
-
-def _identity_field(variables) -> list[MultiPoly]:
-    return [MultiPoly.variable(variables, v) for v in variables]
-
-
-def _cross_fields(a: list[MultiPoly], b: list[MultiPoly], level: int) -> list[MultiPoly]:
-    """Componentwise cross product of two imaginary-valued polynomial
-    fields, via the basis structure constants (e_i e_j = sign e_k maps
-    a_i b_j into component k for i != j; i = j lands in the real part
-    and does not contribute)."""
-    variables = a[0].variables
-    d = len(variables)
-    out = [MultiPoly.zero(variables) for _ in range(d)]
-    for i in range(1, d + 1):
-        if a[i - 1].is_zero():
-            continue
-        for j in range(1, d + 1):
-            if i == j or b[j - 1].is_zero():
-                continue
-            sign, k = basis_product(level, i, j)
-            prod = a[i - 1] * b[j - 1]
-            out[k - 1] = (out[k - 1] + prod) if sign > 0 else (out[k - 1] - prod)
-    return out
-
-
-def lie_bracket(a: list[MultiPoly], b: list[MultiPoly]) -> list[MultiPoly]:
-    """Ambient Lie bracket [A, B]_i = sum_j A_j dB_i/dx_j - B_j dA_i/dx_j,
-    with exact symbolic differentiation."""
-    variables = a[0].variables
-    out = []
-    for i in range(len(variables)):
-        acc = MultiPoly.zero(variables)
-        for j, name in enumerate(variables):
-            acc = acc + a[j] * b[i].diff(name) - b[j] * a[i].diff(name)
-        out.append(acc)
-    return out
-
-
-def _evaluate_field(field: list[MultiPoly], coords: Sequence[Fraction], level: int) -> CDElement:
-    values = [f.evaluate(coords) for f in field]
-    return CDElement(level, tuple([Fraction(0)] + values))
+# Nijenhuis tensor from 1-jets at the base point
 
 
 def nijenhuis(p: SpherePoint, u: TangentVector, v: TangentVector) -> CDElement:
@@ -230,21 +175,24 @@ def nijenhuis(p: SpherePoint, u: TangentVector, v: TangentVector) -> CDElement:
     nonzero for generic inputs on S^6."""
     if u.base != p or v.base != p:
         raise ValueError("nijenhuis arguments must be tangent at the given point")
-    level = p.vector.level
-    variables = _ambient_variables(level)
-    x = _identity_field(variables)
-    cap_u = _extension_field(u.vector, variables)
-    cap_v = _extension_field(v.vector, variables)
-    ju = _cross_fields(x, cap_u, level)
-    jv = _cross_fields(x, cap_v, level)
-
-    coords = p.vector.coeffs[1:]
-    b1 = _evaluate_field(lie_bracket(ju, jv), coords, level)
-    b2 = _evaluate_field(lie_bracket(cap_u, cap_v), coords, level)
-    b3 = _evaluate_field(lie_bracket(ju, cap_v), coords, level)
-    b4 = _evaluate_field(lie_bracket(cap_u, jv), coords, level)
     pv = p.vector
-    return b1 - b2 - cross(pv, b3) - cross(pv, b4)
+
+    def jets(w: CDElement):
+        """1-jets (value, derivative) at p of W(x) = w - <w, x> x and of
+        (JW)(x) = x x W(x)."""
+        return (w, lambda z: pv * -w.inner(z)), (cross(pv, w), lambda z: cross(z, w))
+
+    def bracket(a_jet, b_jet) -> CDElement:
+        """[A, B](p) = DB_p(A(p)) - DA_p(B(p))."""
+        (a, da), (b, db) = a_jet, b_jet
+        return db(a) - da(b)
+
+    cap_u, ju = jets(u.vector)
+    cap_v, jv = jets(v.vector)
+    return (
+        bracket(ju, jv) - bracket(cap_u, cap_v)
+        - cross(pv, bracket(ju, cap_v)) - cross(pv, bracket(cap_u, jv))
+    )
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ polynomials, and reduction of symmetric polynomials to the elementary basis.
 One polynomial type lives here.  `GradedPoly` maps exponent tuples to
 rational coefficients over named generators, each with a positive integer
 weight (for example p_i of weight i), so homogeneous components are exact.
-`MultiPoly` is the case with every weight 1, in named variables; it serves
-the expansion oracles in root variables and polynomial vector fields.
+`MultiPoly` is the case with every weight 1, in named variables; no
+computation in the package uses it, but the symmetric-function helpers
+below and the test oracles (root expansion, polynomial vector fields) do.
 """
 
 from __future__ import annotations

@@ -1,19 +1,21 @@
 """Independent oracles shared across the test suite.
 
 Everything here deliberately avoids the code paths it is used to check:
-the quaternion table is hardcoded, Bernoulli numbers come from the
-classical recurrence, the L-polynomial oracle expands prod Q(b_i z) in
-root variables instead of running the multiplicative sequence, and the
-Nijenhuis oracle differentiates vector fields by exact finite differences
-(central differences with Richardson extrapolation are exact for
-polynomial maps of degree <= 4 at rational step sizes), never touching
-the polynomial machinery.
+the quaternion table is hardcoded, the product oracle runs the recursive
+doubling formula on coefficient tuples instead of the structure-constant
+table, Bernoulli numbers come from the classical recurrence, the
+L-polynomial oracle expands prod Q(b_i z) in root variables instead of
+running the multiplicative sequence, and the two Nijenhuis oracles
+evaluate the brackets of whole ambient vector fields instead of 1-jets:
+one differentiates them by exact finite differences (central
+differences with Richardson extrapolation are exact for polynomial maps
+of degree <= 4 at rational step sizes), the other symbolically as
+polynomial vector fields.
 """
-
 from fractions import Fraction
 from math import comb
 
-from acstk.cayley_dickson import CDElement
+from acstk.cayley_dickson import CDElement, basis_product
 from acstk.genera import q_series
 from acstk.sphere_acs import cross
 from acstk.symfun import GradedPoly, MultiPoly, beta_variables, reduce_to_elementary
@@ -26,6 +28,26 @@ QUATERNION_TABLE = {
     (2, 0): (1, 2), (2, 1): (-1, 3), (2, 2): (-1, 0), (2, 3): (1, 1),
     (3, 0): (1, 3), (3, 1): (1, 2), (3, 2): (-1, 1), (3, 3): (-1, 0),
 }
+
+
+def _conj(a):
+    return (a[0],) + tuple(-c for c in a[1:])
+
+
+def doubling_product(a, b):
+    """The doubling formula on coefficient tuples of length 2^n:
+    (a1, a2)(b1, b2) = (a1 b1 - conj(b2) a2, b2 a1 + a2 conj(b1))."""
+    if len(a) == 1:
+        return (a[0] * b[0],)
+    h = len(a) // 2
+    a1, a2, b1, b2 = a[:h], a[h:], b[:h], b[h:]
+    first = tuple(
+        x - y for x, y in zip(doubling_product(a1, b1), doubling_product(_conj(b2), a2))
+    )
+    second = tuple(
+        x + y for x, y in zip(doubling_product(b2, a1), doubling_product(a2, _conj(b1)))
+    )
+    return first + second
 
 
 def classical_bernoulli(n_max: int) -> list[Fraction]:
@@ -135,3 +157,87 @@ def nijenhuis_fd(p, u, v) -> CDElement:
         - cross(pv, _as_imaginary(level, b3))
         - cross(pv, _as_imaginary(level, b4))
     )
+
+
+# ----------------------------------------------------------------------
+# Nijenhuis tensor via polynomial vector fields and symbolic Lie brackets
+
+
+def _ambient_variables(level: int) -> tuple[str, ...]:
+    d = (1 << level) - 1
+    return tuple(f"x{i}" for i in range(1, d + 1))
+
+
+def _extension_field(u: CDElement, variables) -> list[MultiPoly]:
+    """The canonical tangent extension U(x) = u - <u, x> x as a polynomial
+    vector field on the ambient imaginary space (components on e_1..e_d)."""
+    d = len(variables)
+    coeffs = u.coeffs[1:]
+    inner = MultiPoly.zero(variables)
+    xs = [MultiPoly.variable(variables, v) for v in variables]
+    for c, x in zip(coeffs, xs):
+        if c:
+            inner = inner + x * c
+    return [MultiPoly.constant(variables, coeffs[i]) - inner * xs[i] for i in range(d)]
+
+
+def _identity_field(variables) -> list[MultiPoly]:
+    return [MultiPoly.variable(variables, v) for v in variables]
+
+
+def _cross_fields(a: list[MultiPoly], b: list[MultiPoly], level: int) -> list[MultiPoly]:
+    """Componentwise cross product of two imaginary-valued polynomial
+    fields, via the basis structure constants (e_i e_j = sign e_k maps
+    a_i b_j into component k for i != j; i = j lands in the real part
+    and does not contribute)."""
+    variables = a[0].variables
+    d = len(variables)
+    out = [MultiPoly.zero(variables) for _ in range(d)]
+    for i in range(1, d + 1):
+        if a[i - 1].is_zero():
+            continue
+        for j in range(1, d + 1):
+            if i == j or b[j - 1].is_zero():
+                continue
+            sign, k = basis_product(level, i, j)
+            prod = a[i - 1] * b[j - 1]
+            out[k - 1] = (out[k - 1] + prod) if sign > 0 else (out[k - 1] - prod)
+    return out
+
+
+def lie_bracket(a: list[MultiPoly], b: list[MultiPoly]) -> list[MultiPoly]:
+    """Ambient Lie bracket [A, B]_i = sum_j A_j dB_i/dx_j - B_j dA_i/dx_j,
+    with exact symbolic differentiation."""
+    variables = a[0].variables
+    out = []
+    for i in range(len(variables)):
+        acc = MultiPoly.zero(variables)
+        for j, name in enumerate(variables):
+            acc = acc + a[j] * b[i].diff(name) - b[j] * a[i].diff(name)
+        out.append(acc)
+    return out
+
+
+def _evaluate_field(field: list[MultiPoly], coords, level: int) -> CDElement:
+    values = [f.evaluate(coords) for f in field]
+    return CDElement(level, tuple([Fraction(0)] + values))
+
+
+def nijenhuis_symbolic(p, u, v) -> CDElement:
+    """Nijenhuis tensor at p from exact symbolic brackets of the polynomial
+    fields U(x) = u - <u, x> x and (JU)(x) = x x U(x), evaluated at p."""
+    level = p.vector.level
+    variables = _ambient_variables(level)
+    x = _identity_field(variables)
+    cap_u = _extension_field(u.vector, variables)
+    cap_v = _extension_field(v.vector, variables)
+    ju = _cross_fields(x, cap_u, level)
+    jv = _cross_fields(x, cap_v, level)
+
+    coords = p.vector.coeffs[1:]
+    b1 = _evaluate_field(lie_bracket(ju, jv), coords, level)
+    b2 = _evaluate_field(lie_bracket(cap_u, cap_v), coords, level)
+    b3 = _evaluate_field(lie_bracket(ju, cap_v), coords, level)
+    b4 = _evaluate_field(lie_bracket(cap_u, jv), coords, level)
+    pv = p.vector
+    return b1 - b2 - cross(pv, b3) - cross(pv, b4)

@@ -13,7 +13,7 @@ from acstk.cayley_dickson import (
     probe_alternative,
     random_element,
 )
-from oracles import QUATERNION_TABLE
+from oracles import QUATERNION_TABLE, doubling_product
 
 
 def basis(level, i):
@@ -21,9 +21,28 @@ def basis(level, i):
 
 
 def test_quaternion_table_oracle():
-    # the recursive doubling product must reproduce the hardcoded table
+    # the table-driven product must reproduce the hardcoded table
     for (i, j), (sign, k) in QUATERNION_TABLE.items():
         assert basis(2, i) * basis(2, j) == basis(2, k) * sign
+
+
+def test_product_matches_doubling_formula():
+    rng = random.Random(9)
+    dens = (1, 2, 3, 7, 10, 12, 97)
+    for level in range(5):
+        for _ in range(20):
+            # about a third of the coefficients are zero, the rest carry
+            # mixed denominators
+            a, b = (
+                CDElement(level, tuple(
+                    0 if rng.random() < 0.35 else Fraction(rng.randint(-30, 30), rng.choice(dens))
+                    for _ in range(1 << level)
+                ))
+                for _ in range(2)
+            )
+            assert (a * b).coeffs == doubling_product(a.coeffs, b.coeffs)
+    zero = CDElement.zero(3)
+    assert zero * basis(3, 5) == zero == basis(3, 5) * zero
 
 
 def test_unit_axiom_all_levels():

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from acstk import cli
 from acstk.cli import main
 
 
@@ -61,6 +62,48 @@ def test_lpoly_k_is_capped(capsys):
     code, out, err = run(capsys, "lpoly", "--k", "21")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "at most 20" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("series", "q", "--order", str(cli.SERIES_MAX_ORDER + 1)), f"at most {cli.SERIES_MAX_ORDER}"),
+        (("bernoulli", "--k", str(cli.BERNOULLI_MAX_K + 1)), f"at most {cli.BERNOULLI_MAX_K}"),
+    ],
+)
+def test_series_and_bernoulli_are_capped(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and message in err
+
+
+def test_bernoulli_cap_keeps_k_100():
+    assert cli.BERNOULLI_MAX_K >= 100
+
+
+CAP = cli.RATIONAL_MAX_DIGITS
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [f"1e{CAP + 1}", f"1E-{CAP + 1}", f"2.5e+{CAP + 1}", "7" * (CAP + 1), "1/" + "3" * CAP],
+)
+@pytest.mark.parametrize("command", ["nijenhuis", "assoc-compare"])
+def test_rational_height_is_capped(capsys, command, entry):
+    argv = [command, "--sphere", "2", "--point", f"{entry},0", "--u", "1,0,0", "--v", "0,1,0"]
+    if command == "assoc-compare":
+        argv += ["--w", "0,0,1"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"at most {CAP} digits" in err
+
+
+def test_rational_height_at_the_cap_is_accepted(capsys):
+    code, out, _ = run(
+        capsys, "nijenhuis", "--sphere", "2",
+        "--point", f"1e{CAP},{'7' * CAP}", "--u", "1,0,0", "--v", f"0,1e-{CAP},0", "--json",
+    )
+    assert code == 0 and json.loads(out)["is_zero"] is True
 
 
 def test_series_q(capsys):

@@ -10,7 +10,6 @@ from acstk.sphere_acs import (
     compare_nijenhuis_associator,
     cross,
     j_apply,
-    lie_bracket,
     nijenhuis,
     random_sphere_point,
     random_tangent,
@@ -19,7 +18,7 @@ from acstk.sphere_acs import (
     verify_j_structure,
 )
 from acstk.symfun import MultiPoly
-from oracles import nijenhuis_fd
+from oracles import lie_bracket, nijenhuis_fd, nijenhuis_symbolic
 
 E2 = lambda i: CDElement.basis(2, i)
 E3 = lambda i: CDElement.basis(3, i)
@@ -157,6 +156,7 @@ def test_nijenhuis_golden_witness_on_s6():
     value = nijenhuis(p, u, v)
     assert value == E3(7) * 4  # frozen golden value
     assert nijenhuis_fd(p, u, v) == value  # independent finite-difference route
+    assert nijenhuis_symbolic(p, u, v) == value  # symbolic vector-field route
     assert value.inner(p.vector) == 0
 
 
@@ -169,6 +169,7 @@ def test_nijenhuis_vanishes_on_s2():
         value = nijenhuis(p, u, v)
         assert not value
         assert nijenhuis_fd(p, u, v) == value
+        assert nijenhuis_symbolic(p, u, v) == value
 
 
 def test_nijenhuis_antisymmetry_and_tensoriality_on_s6():
