@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -285,3 +287,89 @@ def test_coefficient_validation():
         CDElement(-1, ())
     with pytest.raises(ValueError):
         CDElement.basis(2, 4)
+
+
+def test_repr_is_pinned():
+    assert repr(CDElement(0, (Fraction(-7, 3),))) == "CDElement(level=0, coeffs=(Fraction(-7, 3),))"
+    assert repr(CDElement(1, (Fraction(2, 4), 3))) == (
+        "CDElement(level=1, coeffs=(Fraction(1, 2), Fraction(3, 1)))"
+    )
+    assert repr(basis(2, 1) * basis(2, 2) * Fraction(-1, 6)) == (
+        "CDElement(level=2, coeffs=(Fraction(0, 1), Fraction(0, 1), "
+        "Fraction(0, 1), Fraction(-1, 6)))"
+    )
+    assert repr(CDElement.zero(1)) == "CDElement(level=1, coeffs=(Fraction(0, 1), Fraction(0, 1)))"
+
+
+def _same_value_by_every_route():
+    """Equal level-2 values (1/2, -3/4, 0, 0) and zeros, built by different routes."""
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    target = [
+        CDElement(2, (Fraction(2, 4), Fraction(-3, 4), 0, 0)),
+        CDElement.from_coeffs(2, ["1/2", Fraction(-6, 8), 0, Fraction(0, 5)]),
+        CDElement.scalar(2, quarter) * CDElement(2, (2, -3, 0, 0)),
+        CDElement(2, (1, -quarter, 0, 0)) + CDElement(2, (-half, -half, 0, 0)),
+        CDElement(2, (1, 0, 0, 1)) - CDElement(2, (half, Fraction(3, 4), 0, 1)),
+        quarter * CDElement(2, (2, -3, 0, 0)),
+        CDElement(2, (4, -6, 0, 0)) * Fraction(1, 8),
+        embed(CDElement(1, (half, Fraction(-3, 4))), 2),
+        -CDElement(2, (-half, Fraction(3, 4), 0, 0)),
+        CDElement(2, (half, Fraction(3, 4), 0, 0)).conjugate(),
+        CDElement.from_dict({"level": 2, "coeffs": ["1/2", "-3/4", "0", "0"]}),
+    ]
+    a = CDElement(2, (Fraction(5, 6), Fraction(-1, 9), 2, 0))
+    zeros = [
+        CDElement.zero(2),
+        CDElement(2, (0, Fraction(0, 7), 0, 0)),
+        a - a,
+        a * 0,
+        a * CDElement.zero(2),
+        a + -a,
+        CDElement.one(2).imaginary_part(),
+        embed(CDElement.zero(1), 2),
+    ]
+    return target, zeros
+
+
+def test_equal_values_compare_and_hash_equal_across_routes():
+    target, zeros = _same_value_by_every_route()
+    for group in (target, zeros):
+        first = group[0]
+        for x in group:
+            assert x == first and not x != first
+            assert hash(x) == hash(first)
+        assert len(set(group)) == 1
+    assert target[0] != zeros[0]
+    assert CDElement.zero(2) != CDElement.zero(3)
+    assert CDElement.one(1) != (1, 0)
+    assert {target[3]: "v"}[target[7]] == "v"
+
+
+def test_elements_are_immutable():
+    a = CDElement(1, (1, Fraction(2, 3)))
+    with pytest.raises(AttributeError):
+        a.level = 2
+    with pytest.raises(AttributeError):
+        a.coeffs = (Fraction(0), Fraction(0))
+    with pytest.raises(AttributeError):
+        del a.level
+    with pytest.raises(AttributeError):
+        (a * a).coeffs = ()
+    assert a == CDElement(1, (1, Fraction(2, 3)))
+
+
+def test_copies_and_pickles_are_equal():
+    for x in _same_value_by_every_route()[0][:4] + [basis(4, 9) * Fraction(-5, 3)]:
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert y == x and hash(y) == hash(x) and y.coeffs == x.coeffs
+
+
+def test_coeffs_are_fractions():
+    target, zeros = _same_value_by_every_route()
+    a, b = CDElement(3, tuple(range(8))), random_element(3, random.Random(10))
+    results = target + zeros + [a, a * b, a + b, b.conjugate(), CDElement.basis(3, 2)]
+    for x in results:
+        assert type(x.coeffs) is tuple
+        assert all(type(c) is Fraction for c in x.coeffs)
+    for value in (a.norm_sq(), a.inner(b), b.real_part(), CDElement.zero(1).norm_sq()):
+        assert type(value) is Fraction
