@@ -3,9 +3,17 @@
 Level n is the algebra of dimension 2^n obtained by applying the doubling
 construction n times to the rationals: level 0 is Q itself, level 1 the
 complex rationals, level 2 the quaternions, level 3 the octonions and
-level 4 the sedenions.  Coefficients are exact `fractions.Fraction`
-values throughout, so structural claims (a nonzero associator, a failed
-norm identity) are decided exactly instead of numerically.
+level 4 the sedenions.  Coefficients are exact rationals throughout, so
+structural claims (a nonzero associator, a failed norm identity) are
+decided exactly instead of numerically.
+
+An element is held once, as one integer vector over a common
+denominator: numerators `num` and a denominator `den > 0` with
+gcd(den, *num) = 1.  Sums, differences, negation, conjugation, scalar
+multiples and products work on the integers and reduce once through one
+private constructor; inner products and norms are one integer dot product
+and one `Fraction`.  The `Fraction` coefficients (`coeffs`) are built only
+when asked for, for display, JSON and callers of the public API.
 
 The doubling rule
 
@@ -13,9 +21,8 @@ The doubling rule
 
 with conj(x1, x2) = (conj(x1), -x2) is encoded once, in the structure
 constants `basis_product` (e_i * e_j = +-e_k).  Products run through a
-cached per-level table of them: both operands are cleared to integer
-numerators over one common denominator, the signed integer products are
-accumulated, and each coefficient becomes a `Fraction` once at the end.
+cached per-level table of them: the signed products of the two numerator
+vectors are accumulated, over the product of the denominators.
 Basis vectors are written e_0 = 1, e_1, ..., e_{2^n - 1}; with this
 convention the level-2 basis satisfies e1*e2 = e3, e2*e3 = e1,
 e3*e1 = e2.
@@ -26,8 +33,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm
+from functools import cached_property, lru_cache
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Union
 
 from .symfun import _join_signed
@@ -38,45 +46,81 @@ Rational = Union[int, Fraction]
 #: searches grow as (2^n)^3.
 PROBE_LEVEL_CAP = 5
 
+_set = object.__setattr__
+
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def _over_common_denominator(coeffs) -> tuple[list[int], int]:
-    """Integer numerators n_i and one denominator d with coeffs[i] = n_i/d."""
+    """Integer numerators n_i and one denominator d with coeffs[i] = n_i/d.
+
+    For reduced `Fraction`s, d = lcm of the denominators is already in
+    lowest terms with the n_i: if p^e is the highest power of a prime p
+    dividing d, then p^e divides some denominator d_i, and p divides
+    neither d/d_i nor that coefficient's numerator.
+    """
     den = lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class CDElement:
     """An element of the level-n doubling algebra: 2^n exact rationals.
 
-    Coefficient 0 is the real part.  Arithmetic between different levels
-    is rejected; use :func:`embed` for an explicit zero-padded inclusion.
+    The value is held once, in canonical form: a tuple `num` of integer
+    numerators over one denominator `den > 0` with gcd(den, *num) = 1, so
+    the zero element is (0, ..., 0)/1 and equal values have equal fields.
+    `coeffs`, the same value as a tuple of `Fraction`s, is built on first
+    access.  Coefficient 0 is the real part.  Elements are immutable.
+    Arithmetic between different levels is rejected; use :func:`embed` for
+    an explicit zero-padded inclusion.
     """
 
     level: int
-    coeffs: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int
 
-    def __post_init__(self):
-        if self.level < 0:
-            raise ValueError(f"level must be non-negative, got {self.level}")
-        coeffs = tuple(_frac(c) for c in self.coeffs)
-        if len(coeffs) != 1 << self.level:
+    def __init__(self, level: int, coeffs: Iterable[Rational]):
+        if level < 0:
+            raise ValueError(f"level must be non-negative, got {level}")
+        coeffs = tuple(_frac(c) for c in coeffs)
+        if len(coeffs) != 1 << level:
             raise ValueError(
-                f"level {self.level} elements need {1 << self.level} "
+                f"level {level} elements need {1 << level} "
                 f"coefficients, got {len(coeffs)}"
             )
-        object.__setattr__(self, "coeffs", coeffs)
+        num, den = _over_common_denominator(coeffs)
+        _set(self, "level", level)
+        _set(self, "num", tuple(num))
+        _set(self, "den", den)
+        self.__dict__["coeffs"] = coeffs  # already built: fill the cached_property
+
+    @classmethod
+    def _reduced(cls, level: int, num, den: int) -> "CDElement":
+        """The element num/den (den > 0) in canonical form, without
+        validation: how every operation builds its result."""
+        g = gcd(den, *num)
+        self = object.__new__(cls)
+        _set(self, "level", level)
+        _set(self, "num", tuple(num) if g == 1 else tuple(n // g for n in num))
+        _set(self, "den", den // g)
+        return self
+
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.num)
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(level={self.level!r}, coeffs={self.coeffs!r})"
 
     # ------------------------------------------------------------------
     # constructors
 
     @classmethod
     def zero(cls, level: int) -> "CDElement":
-        return cls(level, (Fraction(0),) * (1 << level))
+        return cls._reduced(level, (0,) * (1 << level), 1)
 
     @classmethod
     def one(cls, level: int) -> "CDElement":
@@ -84,9 +128,10 @@ class CDElement:
 
     @classmethod
     def scalar(cls, level: int, value: Rational) -> "CDElement":
-        coeffs = [Fraction(0)] * (1 << level)
-        coeffs[0] = _frac(value)
-        return cls(level, tuple(coeffs))
+        q = _frac(value)
+        num = [0] * (1 << level)
+        num[0] = q.numerator
+        return cls._reduced(level, num, q.denominator)
 
     @classmethod
     def basis(cls, level: int, index: int) -> "CDElement":
@@ -94,13 +139,13 @@ class CDElement:
         dim = 1 << level
         if not 0 <= index < dim:
             raise ValueError(f"basis index {index} out of range for level {level}")
-        coeffs = [Fraction(0)] * dim
-        coeffs[index] = Fraction(1)
-        return cls(level, tuple(coeffs))
+        num = [0] * dim
+        num[index] = 1
+        return cls._reduced(level, num, 1)
 
     @classmethod
     def from_coeffs(cls, level: int, coeffs: Iterable[Rational]) -> "CDElement":
-        return cls(level, tuple(_frac(c) for c in coeffs))
+        return cls(level, coeffs)
 
     # ------------------------------------------------------------------
     # ring structure
@@ -114,30 +159,32 @@ class CDElement:
 
     def __add__(self, other: "CDElement") -> "CDElement":
         self._check_level(other, "add")
-        return CDElement(self.level, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        return CDElement._reduced(self.level, [a * sa + b * sb for a, b in zip(self.num, other.num)], den)
 
     def __sub__(self, other: "CDElement") -> "CDElement":
         self._check_level(other, "subtract")
-        return CDElement(self.level, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        return CDElement._reduced(self.level, [a * sa - b * sb for a, b in zip(self.num, other.num)], den)
 
     def __neg__(self) -> "CDElement":
-        return CDElement(self.level, tuple(-a for a in self.coeffs))
+        return CDElement._reduced(self.level, [-a for a in self.num], self.den)
 
     def __mul__(self, other):
         if isinstance(other, CDElement):
             self._check_level(other, "multiply")
-            a, da = _over_common_denominator(self.coeffs)
-            b, db = _over_common_denominator(other.coeffs)
-            acc = [0] * len(a)
-            for x, row in zip(a, _product_table(self.level)):
+            b = other.num
+            acc = [0] * len(b)
+            for x, row in zip(self.num, _product_table(self.level)):
                 if x:
                     for y, (k, sign) in zip(b, row):
                         acc[k] += sign * x * y
-            den = da * db
-            return CDElement(self.level, tuple(Fraction(n, den) for n in acc))
+            return CDElement._reduced(self.level, acc, self.den * other.den)
         if isinstance(other, (int, Fraction)):
-            q = _frac(other)
-            return CDElement(self.level, tuple(a * q for a in self.coeffs))
+            q = other.numerator
+            return CDElement._reduced(self.level, [a * q for a in self.num], self.den * other.denominator)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -146,32 +193,32 @@ class CDElement:
         return NotImplemented
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self.num)
 
     # ------------------------------------------------------------------
     # involution, norm, decomposition
 
     def conjugate(self) -> "CDElement":
         """Negate every imaginary coefficient (real part is preserved)."""
-        return CDElement(self.level, self.coeffs[:1] + tuple(-x for x in self.coeffs[1:]))
+        return CDElement._reduced(self.level, [self.num[0]] + [-a for a in self.num[1:]], self.den)
 
     def norm_sq(self) -> Fraction:
         """Sum of squared coefficients; equals the real part of a * conj(a)."""
-        return sum((c * c for c in self.coeffs), Fraction(0))
+        return Fraction(sum(map(mul, self.num, self.num)), self.den * self.den)
 
     def real_part(self) -> Fraction:
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def imaginary_part(self) -> "CDElement":
-        return CDElement(self.level, (Fraction(0),) + self.coeffs[1:])
+        return CDElement._reduced(self.level, (0,) + self.num[1:], self.den)
 
     def is_imaginary(self) -> bool:
-        return self.coeffs[0] == 0
+        return self.num[0] == 0
 
     def inner(self, other: "CDElement") -> Fraction:
         """Euclidean inner product of the coefficient vectors."""
         self._check_level(other, "pair")
-        return sum((a * b for a, b in zip(self.coeffs, other.coeffs)), Fraction(0))
+        return Fraction(sum(map(mul, self.num, other.num)), self.den * other.den)
 
     # ------------------------------------------------------------------
     # serialization and display
@@ -214,8 +261,8 @@ def embed(a: CDElement, target_level: int) -> CDElement:
         raise ValueError(
             f"cannot embed a level-{a.level} element into level {target_level}"
         )
-    pad = (Fraction(0),) * ((1 << target_level) - len(a.coeffs))
-    return CDElement(target_level, a.coeffs + pad)
+    pad = (0,) * ((1 << target_level) - len(a.num))
+    return CDElement._reduced(target_level, a.num + pad, a.den)
 
 
 @lru_cache(maxsize=None)

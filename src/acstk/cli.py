@@ -40,6 +40,14 @@ SERIES_MAX_ORDER = 300
 #: take a few seconds.
 BERNOULLI_MAX_K = 100
 
+#: Largest `classify` dimension, and largest `--range` end.  The signature
+#: route on S^{4k} needs B_k, so this is 4 * BERNOULLI_MAX_K.
+CLASSIFY_MAX_N = 4 * BERNOULLI_MAX_K
+
+#: Largest `--samples` of `verify-j` and `classify`; 100000 samples on S^6
+#: take about half a minute.
+SAMPLES_MAX = 100_000
+
 #: Most digits in one parsed rational (exponent digits included), and the
 #: largest magnitude of its decimal exponent.  Checked before `Fraction`
 #: sees the text, because `Fraction("1e99999999")` builds 10^99999999
@@ -112,10 +120,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="classify one dimension or a range")
-    p.add_argument("n", nargs="?", type=int, help="sphere dimension")
-    p.add_argument("--range", dest="range_", metavar="A..B", help="inclusive range of dimensions")
+    p.add_argument("n", nargs="?", type=int, help=f"sphere dimension, 1..{CLASSIFY_MAX_N}")
+    p.add_argument(
+        "--range", dest="range_", metavar="A..B",
+        help=f"inclusive range of dimensions, B at most {CLASSIFY_MAX_N}",
+    )
     p.add_argument("--json", action="store_true", help="emit verdicts as JSON")
-    p.add_argument("--samples", type=int, default=25, help="sample count for the existence check")
+    p.add_argument(
+        "--samples", type=int, default=25,
+        help=f"sample count for the existence check, 1..{SAMPLES_MAX}",
+    )
     p.add_argument("--seed", type=int, default=None, help="sampling seed (default: ACSTK_SEED or 0)")
 
     p = sub.add_parser("lpoly", help="print the L-polynomials L_1..L_K exactly")
@@ -128,7 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-j", help="sample-check J^2 = -Id on S^2 or S^6")
     p.add_argument("--sphere", type=int, choices=[2, 6], required=True)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=int, default=1000, help=f"sample count, 1..{SAMPLES_MAX}")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--json", action="store_true")
 
@@ -163,12 +177,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_samples(samples: int) -> None:
+    if samples > SAMPLES_MAX:
+        raise ValueError(f"--samples must be at most {SAMPLES_MAX}")
+
+
 def _cmd_classify(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     if (args.n is None) == (args.range_ is None):
         raise ValueError("classify needs exactly one of a dimension or --range A..B")
+    a, b = (args.n, args.n) if args.range_ is None else _parse_range(args.range_)
+    if b > CLASSIFY_MAX_N:
+        raise ValueError(f"classify dimensions must be at most {CLASSIFY_MAX_N}")
+    _check_samples(args.samples)
     if args.range_ is not None:
-        a, b = _parse_range(args.range_)
         verdicts = classify_mod.classify_range(a, b, samples=args.samples, seed=seed)
     else:
         verdicts = [classify_mod.classify_sphere(args.n, samples=args.samples, seed=seed)]
@@ -220,6 +242,7 @@ def _cmd_series(args) -> int:
 
 def _cmd_verify_j(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
+    _check_samples(args.samples)
     report = verify_j_structure(args.sphere, samples=args.samples, seed=seed)
     if args.json:
         print(json.dumps(report.as_dict(), indent=2, sort_keys=True))

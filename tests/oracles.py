@@ -1,16 +1,18 @@
 """Independent oracles shared across the test suite.
 
 Everything here deliberately avoids the code paths it is used to check:
-the quaternion table is hardcoded, the product oracle runs the recursive
-doubling formula on coefficient tuples instead of the structure-constant
-table, Bernoulli numbers come from the classical recurrence, the
-L-polynomial oracle expands prod Q(b_i z) in root variables instead of
-running the multiplicative sequence, and the two Nijenhuis oracles
-evaluate the brackets of whole ambient vector fields instead of 1-jets:
-one differentiates them by exact finite differences (central
-differences with Richardson extrapolation are exact for polynomial maps
-of degree <= 4 at rational step sizes), the other symbolically as
-polynomial vector fields.
+the quaternion table is hardcoded, the vector operations of the doubling
+algebras are per-coefficient `Fraction` arithmetic on coefficient tuples
+instead of integer vectors over a common denominator, the product oracle
+runs the recursive doubling formula on such tuples instead of the
+structure-constant table, Bernoulli numbers come from the classical
+recurrence, the L-polynomial oracle expands prod Q(b_i z) in root
+variables instead of running the multiplicative sequence, and the two
+Nijenhuis oracles evaluate the brackets of whole ambient vector fields
+instead of 1-jets: one differentiates them by exact finite differences
+(central differences with Richardson extrapolation are exact for
+polynomial maps of degree <= 4 at rational step sizes), the other
+symbolically as polynomial vector fields.
 """
 from fractions import Fraction
 from math import comb
@@ -30,8 +32,40 @@ QUATERNION_TABLE = {
 }
 
 
-def _conj(a):
+# Per-coefficient `Fraction` arithmetic on coefficient tuples: the
+# reference for CDElement's integer-vector operations.
+
+
+def coeff_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def coeff_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def coeff_neg(a):
+    return tuple(-x for x in a)
+
+
+def coeff_scale(a, q):
+    return tuple(x * q for x in a)
+
+
+def coeff_inner(a, b):
+    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+
+
+def coeff_conjugate(a):
     return (a[0],) + tuple(-c for c in a[1:])
+
+
+def coeff_imaginary(a):
+    return (Fraction(0),) + tuple(a[1:])
+
+
+def coeff_embed(a, level):
+    return tuple(a) + (Fraction(0),) * ((1 << level) - len(a))
 
 
 def doubling_product(a, b):
@@ -42,10 +76,10 @@ def doubling_product(a, b):
     h = len(a) // 2
     a1, a2, b1, b2 = a[:h], a[h:], b[:h], b[h:]
     first = tuple(
-        x - y for x, y in zip(doubling_product(a1, b1), doubling_product(_conj(b2), a2))
+        x - y for x, y in zip(doubling_product(a1, b1), doubling_product(coeff_conjugate(b2), a2))
     )
     second = tuple(
-        x + y for x, y in zip(doubling_product(b2, a1), doubling_product(a2, _conj(b1)))
+        x + y for x, y in zip(doubling_product(b2, a1), doubling_product(a2, coeff_conjugate(b1)))
     )
     return first + second
 

@@ -77,6 +77,29 @@ def test_series_and_bernoulli_are_capped(capsys, argv, message):
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("classify", str(cli.CLASSIFY_MAX_N + 1)), f"at most {cli.CLASSIFY_MAX_N}"),
+        (("classify", "--range", f"1..{cli.CLASSIFY_MAX_N + 1}", "--json"), f"at most {cli.CLASSIFY_MAX_N}"),
+        (("classify", "6", "--samples", str(cli.SAMPLES_MAX + 1)), f"at most {cli.SAMPLES_MAX}"),
+        (("classify", "--range", "1..9", "--samples", str(cli.SAMPLES_MAX + 1)), f"at most {cli.SAMPLES_MAX}"),
+        (("verify-j", "--sphere", "2", "--samples", str(cli.SAMPLES_MAX + 1)), f"at most {cli.SAMPLES_MAX}"),
+    ],
+)
+def test_classify_and_samples_are_capped(capsys, monkeypatch, argv, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a capped command started work")
+
+    for name in ("classify_sphere", "classify_range"):
+        monkeypatch.setattr(cli.classify_mod, name, no_work)
+    monkeypatch.setattr(cli, "verify_j_structure", no_work)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and message in err
+    assert cli.CLASSIFY_MAX_N == 4 * cli.BERNOULLI_MAX_K
+
+
 def test_bernoulli_cap_keeps_k_100():
     assert cli.BERNOULLI_MAX_K >= 100
 
@@ -285,3 +308,15 @@ def test_internal_invariant_violation_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(cli_mod, "verify_j_structure", broken)
     code, _, err = run(capsys, "verify-j", "--sphere", "2", "--samples", "1")
     assert code == 3 and "internal invariant violation" in err
+
+
+def test_broken_cross_reads_false_and_exits_3(capsys, monkeypatch):
+    import acstk.sphere_acs as sphere_mod
+
+    real_cross = sphere_mod.cross
+    # p x v + p leaves the tangent space at p
+    monkeypatch.setattr(sphere_mod, "cross", lambda u, v: real_cross(u, v) + u)
+    code, out, err = run(capsys, "verify-j", "--sphere", "6", "--samples", "3", "--json")
+    assert code == 3 and "internal invariant violation" in err
+    data = json.loads(out)
+    assert data["image_tangent"] is False and data["all_passed"] is False
