@@ -183,8 +183,8 @@ class CDElement:
                         acc[k] += sign * x * y
             return CDElement._reduced(self.level, acc, self.den * other.den)
         if isinstance(other, (int, Fraction)):
-            q = other.numerator
-            return CDElement._reduced(self.level, [a * q for a in self.num], self.den * other.denominator)
+            n = other.numerator
+            return CDElement._reduced(self.level, [a * n for a in self.num], self.den * other.denominator)
         return NotImplemented
 
     def __rmul__(self, other):
