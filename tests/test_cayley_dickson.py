@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from acstk.cayley_dickson import (
+    AlternativityReport,
     CDElement,
     associator,
     basis_product,
@@ -16,6 +17,7 @@ from acstk.cayley_dickson import (
     random_element,
 )
 from oracles import QUATERNION_TABLE, doubling_product
+from record_contract import check_record
 
 
 def basis(level, i):
@@ -373,3 +375,34 @@ def test_coeffs_are_fractions():
         assert all(type(c) is Fraction for c in x.coeffs)
     for value in (a.norm_sq(), a.inner(b), b.real_part(), CDElement.zero(1).norm_sq()):
         assert type(value) is Fraction
+
+
+@pytest.mark.parametrize(
+    "fields, expected_repr",
+    [
+        (
+            dict(
+                level=1, alternative=False, basis_checks=8, random_checks=0,
+                witness_form=None, witness_u=None, witness_v=None, witness_associator=None,
+            ),
+            "AlternativityReport(level=1, alternative=False, basis_checks=8, random_checks=0, "
+            "witness_form=None, witness_u=None, witness_v=None, witness_associator=None)",
+        ),
+        (
+            dict(
+                level=1, alternative=False, basis_checks=8, random_checks=3,
+                witness_form="[u, u, v]", witness_u=basis(1, 1),
+                witness_v=CDElement(1, (Fraction(1, 2), 0)), witness_associator=CDElement.zero(1),
+            ),
+            "AlternativityReport(level=1, alternative=False, basis_checks=8, random_checks=3, "
+            "witness_form='[u, u, v]', "
+            "witness_u=CDElement(level=1, coeffs=(Fraction(0, 1), Fraction(1, 1))), "
+            "witness_v=CDElement(level=1, coeffs=(Fraction(1, 2), Fraction(0, 1))), "
+            "witness_associator=CDElement(level=1, coeffs=(Fraction(0, 1), Fraction(0, 1))))",
+        ),
+    ],
+    ids=["defaults", "witness"],
+)
+def test_alternativity_report_is_an_immutable_record(fields, expected_repr):
+    defaults = dict(witness_form=None, witness_u=None, witness_v=None, witness_associator=None)
+    check_record(AlternativityReport, fields, expected_repr, defaults=defaults)

@@ -7,6 +7,7 @@ from acstk.char_class import (
     KIND_CHERN,
     KIND_PONTRYAGIN,
     KIND_STIEFEL_WHITNEY,
+    LemmaReplay,
     SphereCohomologyClass,
     TotalClass,
     conjugate_classes,
@@ -15,6 +16,7 @@ from acstk.char_class import (
     replay_lemma_pontryagin_euler,
     whitney_product,
 )
+from record_contract import check_record
 
 
 def test_truncated_ring_axioms():
@@ -143,3 +145,64 @@ def test_stiefel_whitney_coefficients_are_mod_two():
     assert w.component(4) == 1
     with pytest.raises(ValueError, match="integer"):
         TotalClass(KIND_STIEFEL_WHITNEY, 4, {4: Fraction(1, 2)})
+
+
+@pytest.mark.parametrize(
+    "kind, sphere_dim, components, text",
+    [
+        (KIND_CHERN, 4, {}, "1"),
+        (KIND_CHERN, 4, {2: 1}, "1 + c2"),
+        (KIND_CHERN, 4, {2: -1, 1: 7}, "1 - c2"),
+        (KIND_CHERN, 6, {3: Fraction(-3, 2)}, "1 - 3/2*c3"),
+        (KIND_PONTRYAGIN, 8, {2: Fraction(5, 7)}, "1 + 5/7*p2"),
+        (KIND_PONTRYAGIN, 4, {1: -2}, "1 - 2*p1"),
+        (KIND_STIEFEL_WHITNEY, 4, {4: 3, 2: 1}, "1 + w4"),
+        (KIND_STIEFEL_WHITNEY, 4, {4: -2}, "1"),
+    ],
+)
+def test_total_class_str(kind, sphere_dim, components, text):
+    assert str(TotalClass(kind, sphere_dim, components)) == text
+
+
+@pytest.mark.parametrize(
+    "cls, fields, expected_repr, hashable, errors",
+    [
+        (
+            SphereCohomologyClass,
+            dict(sphere_dim=4, scalar0=1, scalar_top=Fraction(-3, 2)),
+            "SphereCohomologyClass(sphere_dim=4, scalar0=Fraction(1, 1), scalar_top=Fraction(-3, 2))",
+            True,
+            [],
+        ),
+        (
+            TotalClass,
+            dict(kind=KIND_CHERN, sphere_dim=4, components={2: -1, 1: 5}),
+            "TotalClass(kind='chern', sphere_dim=4, components={2: Fraction(-1, 1)})",
+            False,
+            [
+                (dict(kind="euler"), "unknown class kind 'euler'"),
+                (dict(components={0: 1}), "class indices start at 1, got 0"),
+                (
+                    dict(kind=KIND_STIEFEL_WHITNEY, components={4: Fraction(1, 2)}),
+                    "mod-2 classes need integer coefficients",
+                ),
+            ],
+        ),
+        (
+            LemmaReplay,
+            dict(
+                k=1, sphere_dim=4, steps=({"label": "c(T)"},), euler_pairing=Fraction(2),
+                pairing=Fraction(-4), contradiction=True, assumed_axioms=("chi(S^{2n}) = 2",),
+            ),
+            "LemmaReplay(k=1, sphere_dim=4, steps=({'label': 'c(T)'},), "
+            "euler_pairing=Fraction(2, 1), pairing=Fraction(-4, 1), contradiction=True, "
+            "assumed_axioms=('chi(S^{2n}) = 2',))",
+            False,
+            [],
+        ),
+    ],
+    ids=["SphereCohomologyClass", "TotalClass", "LemmaReplay"],
+)
+def test_class_records_are_immutable(cls, fields, expected_repr, hashable, errors):
+    errors = [(override, ValueError, message) for override, message in errors]
+    check_record(cls, fields, expected_repr, hashable=hashable, errors=errors)

@@ -9,6 +9,7 @@ from acstk.classify import (
     REASON_PONTRYAGIN_EULER,
     STATUS_EXISTS,
     STATUS_RULED_OUT,
+    SphereVerdict,
     check_chern_divisibility,
     check_odd,
     check_pontryagin_euler,
@@ -17,6 +18,7 @@ from acstk.classify import (
     classify_sphere,
 )
 from acstk.genera import s_coefficient
+from record_contract import check_record
 
 
 def test_check_odd():
@@ -111,3 +113,20 @@ def test_invalid_range():
         classify_range(5, 4)
     with pytest.raises(ValueError):
         classify_range(0, 4)
+
+
+@pytest.mark.parametrize(
+    "fields, expected_repr",
+    [
+        (
+            dict(
+                n=6, status=STATUS_EXISTS, reason=REASON_CONSTRUCTION,
+                certificate={"sphere": 6}, assumed_axioms=("a", "b"),
+            ),
+            "SphereVerdict(n=6, status='exists', reason='explicit_construction', "
+            "certificate={'sphere': 6}, assumed_axioms=('a', 'b'))",
+        ),
+    ],
+)
+def test_sphere_verdict_is_an_immutable_record(fields, expected_repr):
+    check_record(SphereVerdict, fields, expected_repr, hashable=False)

@@ -5,6 +5,8 @@ import pytest
 
 from acstk.cayley_dickson import CDElement, random_element
 from acstk.sphere_acs import (
+    AssociatorComparison,
+    JVerificationReport,
     SpherePoint,
     TangentVector,
     compare_nijenhuis_associator,
@@ -19,6 +21,7 @@ from acstk.sphere_acs import (
 )
 from acstk.symfun import MultiPoly
 from oracles import lie_bracket, nijenhuis_fd, nijenhuis_symbolic
+from record_contract import check_record
 
 E2 = lambda i: CDElement.basis(2, i)
 E3 = lambda i: CDElement.basis(3, i)
@@ -237,3 +240,88 @@ def test_compare_repeated_argument():
     report = compare_nijenhuis_associator(p, u, u, w)
     assert report.pairing_with_w == 0
     assert not report.associator_value
+
+
+def _level1_repr(a, b):
+    return f"CDElement(level=1, coeffs=(Fraction({a}, 1), Fraction({b}, 1)))"
+
+
+_E1_REPR = "CDElement(level=2, coeffs=(Fraction(0, 1), Fraction(1, 1), Fraction(0, 1), Fraction(0, 1)))"
+_HALF_E2_REPR = "CDElement(level=2, coeffs=(Fraction(0, 1), Fraction(0, 1), Fraction(1, 2), Fraction(0, 1)))"
+
+
+@pytest.mark.parametrize(
+    "cls, fields, expected_repr, defaults, errors",
+    [
+        (
+            SpherePoint,
+            dict(vector=E2(1)),
+            f"SpherePoint(vector={_E1_REPR})",
+            None,
+            [
+                (dict(vector=CDElement.basis(1, 1)), "sphere points live at level 2 or 3, got level 1"),
+                (dict(vector=CDElement.one(2)), "sphere points must be imaginary"),
+                (dict(vector=E2(1) * 2), "sphere points must have unit norm, got |p|^2 = 4"),
+            ],
+        ),
+        (
+            TangentVector,
+            dict(base=SpherePoint(E2(1)), vector=E2(2) * Fraction(1, 2)),
+            f"TangentVector(base=SpherePoint(vector={_E1_REPR}), vector={_HALF_E2_REPR})",
+            None,
+            [
+                (dict(vector=E3(2)), "tangent level 3 does not match base level 2"),
+                (dict(vector=CDElement.one(2)), "tangent vectors must be imaginary"),
+                (
+                    dict(vector=E2(1) + E2(2)),
+                    "tangent vector is not orthogonal to its base point: <v, p> = 1",
+                ),
+            ],
+        ),
+        (
+            AssociatorComparison,
+            dict(
+                sphere_dim=6,
+                nijenhuis_value=CDElement(1, (0, 4)),
+                pairing_with_w=Fraction(-1, 2),
+                associator_value=CDElement(1, (3, 0)),
+                associator_real_part=Fraction(3),
+                ratio=None,
+            ),
+            f"AssociatorComparison(sphere_dim=6, nijenhuis_value={_level1_repr(0, 4)}, "
+            "pairing_with_w=Fraction(-1, 2), "
+            f"associator_value={_level1_repr(3, 0)}, "
+            "associator_real_part=Fraction(3, 1), ratio=None)",
+            None,
+            [],
+        ),
+        (
+            JVerificationReport,
+            dict(
+                sphere_dim=2, samples=3, seed=7, j_squared_negates=True,
+                image_tangent=True, norm_preserved=False, example_point=None, example_tangent=None,
+            ),
+            "JVerificationReport(sphere_dim=2, samples=3, seed=7, j_squared_negates=True, "
+            "image_tangent=True, norm_preserved=False, example_point=None, example_tangent=None)",
+            dict(example_point=None, example_tangent=None),
+            [],
+        ),
+        (
+            JVerificationReport,
+            dict(
+                sphere_dim=2, samples=1, seed=0, j_squared_negates=True, image_tangent=True,
+                norm_preserved=True, example_point=CDElement(1, (1, 0)),
+                example_tangent=CDElement(1, (0, -1)),
+            ),
+            "JVerificationReport(sphere_dim=2, samples=1, seed=0, j_squared_negates=True, "
+            "image_tangent=True, norm_preserved=True, "
+            f"example_point={_level1_repr(1, 0)}, example_tangent={_level1_repr(0, -1)})",
+            dict(example_point=None, example_tangent=None),
+            [],
+        ),
+    ],
+    ids=["SpherePoint", "TangentVector", "AssociatorComparison", "JReport-defaults", "JReport"],
+)
+def test_sphere_records_are_immutable(cls, fields, expected_repr, defaults, errors):
+    errors = [(override, ValueError, message) for override, message in errors]
+    check_record(cls, fields, expected_repr, defaults=defaults, errors=errors)
