@@ -59,7 +59,7 @@ from .symfun import (
     substitute,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "CDElement",

@@ -31,13 +31,13 @@ e3*e1 = e2.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Union
 
+from ._record import Record
 from .symfun import _join_signed
 
 Rational = Union[int, Fraction]
@@ -65,8 +65,7 @@ def _over_common_denominator(coeffs) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class CDElement:
+class CDElement(Record):
     """An element of the level-n doubling algebra: 2^n exact rationals.
 
     The value is held once, in canonical form: a tuple `num` of integer
@@ -337,8 +336,7 @@ def random_element(
     return CDElement(level, tuple(coeffs))
 
 
-@dataclass(frozen=True)
-class AlternativityReport:
+class AlternativityReport(Record):
     """Outcome of probing whether the associator alternates at one level."""
 
     level: int

@@ -13,9 +13,11 @@ Stiefel-Whitney coefficients live in Z/2, the others in Q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
+
+from ._record import Record
+from .symfun import _join_signed
 
 Rational = Union[int, Fraction]
 
@@ -30,8 +32,7 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True)
-class SphereCohomologyClass:
+class SphereCohomologyClass(Record):
     """An element a0 + a_top * x of Q[x]/(x^2), deg x = sphere_dim."""
 
     sphere_dim: int
@@ -80,8 +81,7 @@ class SphereCohomologyClass:
         return self.scalar_top
 
 
-@dataclass(frozen=True)
-class TotalClass:
+class TotalClass(Record):
     """A total characteristic class 1 + (indexed positive pieces) on S^m.
 
     `components[i]` is the generator coefficient of the i-th class; the
@@ -138,7 +138,7 @@ class TotalClass:
         for i, c in self.components.items():
             head = "" if c == 1 else ("-" if c == -1 else f"{c}*")
             parts.append(f"{head}{letter}{i}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return _join_signed(parts)
 
 
 def whitney_product(a: TotalClass, b: TotalClass) -> TotalClass:
@@ -191,8 +191,7 @@ def euler_from_top_chern(c: TotalClass, n: int) -> Fraction:
     return c.component(n)
 
 
-@dataclass(frozen=True)
-class LemmaReplay:
+class LemmaReplay(Record):
     """Step-by-step record of the top-Pontryagin / Euler-class identity
     forced on S^{4k} by an almost complex structure, ending in the
     nonzero pairing (-1)^k * 4 that contradicts the vanishing of

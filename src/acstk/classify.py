@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from ._record import Record
 from .char_class import (
     AX_COMPLEX_TANGENT_SPLITS,
     AX_EULER_CHAR_SPHERE,
@@ -49,8 +49,7 @@ AX_SIGNATURE_THEOREM = "signature theorem: sigma(M^{4k}) = <L_k(p_1..p_k), [M]>"
 AX_CH_INTEGRAL = "ch(S^{2n}) is integral"
 
 
-@dataclass(frozen=True)
-class SphereVerdict:
+class SphereVerdict(Record):
     """Classification result for one sphere dimension."""
 
     n: int

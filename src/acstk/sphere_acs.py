@@ -29,10 +29,10 @@ stable.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from ._record import Record
 from .cayley_dickson import CDElement, associator
 
 #: sphere dimension -> level of the ambient doubling algebra
@@ -45,8 +45,7 @@ def _level_for(sphere_dim: int) -> int:
     return SPHERE_LEVEL[sphere_dim]
 
 
-@dataclass(frozen=True)
-class SpherePoint:
+class SpherePoint(Record):
     """A point of S^2 or S^6: an imaginary element of exact unit norm."""
 
     vector: CDElement
@@ -71,8 +70,7 @@ class SpherePoint:
         return self.vector.as_dict()
 
 
-@dataclass(frozen=True)
-class TangentVector:
+class TangentVector(Record):
     """A base point together with an exactly-orthogonal imaginary vector."""
 
     base: SpherePoint
@@ -195,8 +193,7 @@ def nijenhuis(p: SpherePoint, u: TangentVector, v: TangentVector) -> CDElement:
     )
 
 
-@dataclass(frozen=True)
-class AssociatorComparison:
+class AssociatorComparison(Record):
     """Side-by-side data for <N(u,v), w> against the associator [u,v,w].
 
     Purely an exploration instrument: no relation between the two is
@@ -239,8 +236,7 @@ def compare_nijenhuis_associator(
     return AssociatorComparison(p.sphere_dim, n, pairing, assoc, real, ratio)
 
 
-@dataclass(frozen=True)
-class JVerificationReport:
+class JVerificationReport(Record):
     """Result of sampling J over random rational points and tangents."""
 
     sphere_dim: int

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -320,3 +324,23 @@ def test_broken_cross_reads_false_and_exits_3(capsys, monkeypatch):
     assert code == 3 and "internal invariant violation" in err
     data = json.loads(out)
     assert data["image_tangent"] is False and data["all_passed"] is False
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    """Start-up cost: `import acstk.cli` must not pull in `dataclasses` or
+    `inspect`.  Only modules the import adds count, so a site hook that
+    preloads either cannot fail this test."""
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import acstk.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "acstk.cli" in added
+    assert not added & {"dataclasses", "inspect"}
