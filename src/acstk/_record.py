@@ -1,15 +1,14 @@
-"""Immutable value records, without `dataclasses`.
+"""Immutable value records, without `dataclasses`: that module imports
+`inspect` (with `ast`, `dis` and `tokenize`) and compiles each class's
+methods with `exec`, a start-up cost for every acstk process."""
 
-`dataclasses` imports `inspect` (and with it `ast`, `dis` and `tokenize`)
-and compiles each generated method with `exec`, a cost every acstk process
-paid at start-up.  `Record` gives the same behaviour from plain methods.
-"""
+from operator import attrgetter
 
 
 class Record:
     """Base of an immutable value class.
 
-    A subclass declares its fields as its own class annotations, in order;
+    A subclass declares its fields, in order, as its own class annotations;
     a class attribute of the same name is that field's default.  Instances
     take the fields positionally or by keyword, then run `__post_init__` if
     the class has one.  They are equal when of the same class with equal
@@ -23,29 +22,36 @@ class Record:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__annotations__)
         cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
+        get = attrgetter(*cls._fields)  # returns a tuple for two or more fields
+        cls._astuple = staticmethod((lambda x: (get(x),)) if len(cls._fields) == 1 else get)
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
-        values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
-        if len(args) > len(fields) or not kwargs.keys() <= set(fields[len(args):]):
-            raise TypeError(f"{type(self).__qualname__}() takes the fields {fields}")
-        missing = [f for f in fields if f not in values]
-        if missing:
-            raise TypeError(f"{type(self).__qualname__}() is missing the fields {missing}")
-        self.__dict__.update((f, values[f]) for f in fields)
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(fields, args))
         if hasattr(self, "__post_init__"):
             self.__post_init__()
 
-    def _astuple(self) -> tuple:
-        return tuple(getattr(self, f) for f in self._fields)
+    @classmethod
+    def _bind(cls, args, kwargs) -> tuple:
+        """All field values, in order, from a call that names some of them."""
+        name, fields = cls.__qualname__, cls._fields
+        if len(args) > len(fields) or not kwargs.keys() <= set(fields[len(args):]):
+            raise TypeError(f"{name}() takes the fields {fields}")
+        values = {**cls._defaults, **dict(zip(fields, args)), **kwargs}
+        missing = [f for f in fields if f not in values]
+        if missing:
+            raise TypeError(f"{name}() is missing the fields {missing}")
+        return tuple(values[f] for f in fields)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._astuple() == other._astuple()
+        return self._astuple(self) == other._astuple(other)
 
     def __hash__(self):
-        return hash(self._astuple())
+        return hash(self._astuple(self))
 
     def __repr__(self) -> str:
         body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
