@@ -16,7 +16,7 @@ import pytest
 
 def check_record(cls, fields, expected_repr, *, defaults=None, hashable=True, errors=()):
     """`defaults`: the trailing fields that have a default, mapped to it.
-    `errors`: (overriding fields, exception type, exact message) triples."""
+    `errors`: (overriding fields, exact `ValueError` message) pairs."""
     defaults = defaults or {}
     names, values = list(fields), list(fields.values())
     x = cls(*values)
@@ -32,14 +32,17 @@ def check_record(cls, fields, expected_repr, *, defaults=None, hashable=True, er
         assert y == x and not y != x and repr(y) == expected_repr
 
     if hashable:
+        assert hash(x) == hash(tuple(getattr(x, n) for n in names))
         assert all(hash(y) == hash(x) for y in same)
         assert {y: "v" for y in same}[x] == "v"
     else:
         with pytest.raises(TypeError):
             hash(x)
 
+    twin = copy.copy(x)  # same fields, but a subclass
+    object.__setattr__(twin, "__class__", type("Twin", (cls,), {"__annotations__": dict(cls.__annotations__)}))
     stand_in = SimpleNamespace(**{n: getattr(x, n) for n in names})
-    for other in (stand_in, tuple(values), None):
+    for other in (twin, stand_in, tuple(values), None):
         assert x != other and not x == other
         assert x.__eq__(other) is NotImplemented
 
@@ -65,6 +68,6 @@ def check_record(cls, fields, expected_repr, *, defaults=None, hashable=True, er
     with pytest.raises(TypeError):
         cls(*values, **{names[0]: values[0]})
 
-    for override, exc, message in errors:
-        with pytest.raises(exc, match=f"^{re.escape(message)}$"):
+    for override, message in errors:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             cls(**{**fields, **override})

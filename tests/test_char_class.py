@@ -204,5 +204,4 @@ def test_total_class_str(kind, sphere_dim, components, text):
     ids=["SphereCohomologyClass", "TotalClass", "LemmaReplay"],
 )
 def test_class_records_are_immutable(cls, fields, expected_repr, hashable, errors):
-    errors = [(override, ValueError, message) for override, message in errors]
     check_record(cls, fields, expected_repr, hashable=hashable, errors=errors)

@@ -323,5 +323,4 @@ _HALF_E2_REPR = "CDElement(level=2, coeffs=(Fraction(0, 1), Fraction(0, 1), Frac
     ids=["SpherePoint", "TangentVector", "AssociatorComparison", "JReport-defaults", "JReport"],
 )
 def test_sphere_records_are_immutable(cls, fields, expected_repr, defaults, errors):
-    errors = [(override, ValueError, message) for override, message in errors]
     check_record(cls, fields, expected_repr, defaults=defaults, errors=errors)
