@@ -22,7 +22,6 @@ from .char_class import (
     SphereCohomologyClass,
     TotalClass,
     conjugate_classes,
-    euler_from_top_chern,
     pontryagin_from_complexification,
     replay_lemma_pontryagin_euler,
     whitney_product,
@@ -49,23 +48,14 @@ from .sphere_acs import (
     tangent_projection,
     verify_j_structure,
 )
-from .symfun import (
-    GradedPoly,
-    MultiPoly,
-    elementary_symmetric,
-    newton_polynomial,
-    power_sum,
-    reduce_to_elementary,
-    substitute,
-)
+from .symfun import GradedPoly, newton_polynomial
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "CDElement",
     "GradedPoly",
     "InternalInvariantError",
-    "MultiPoly",
     "PowerSeries",
     "SphereCohomologyClass",
     "SpherePoint",
@@ -81,23 +71,18 @@ __all__ = [
     "compare_nijenhuis_associator",
     "conjugate_classes",
     "cross",
-    "elementary_symmetric",
     "embed",
-    "euler_from_top_chern",
     "j_apply",
     "l_polynomial",
     "newton_polynomial",
     "nijenhuis",
     "pontryagin_from_complexification",
-    "power_sum",
     "probe_alternative",
     "q_series",
     "rational_sphere_point",
-    "reduce_to_elementary",
     "replay_lemma_pontryagin_euler",
     "s_coefficient",
     "s_series",
-    "substitute",
     "tangent_projection",
     "verify_j_structure",
     "whitney_product",

@@ -183,14 +183,6 @@ def pontryagin_from_complexification(c: TotalClass) -> TotalClass:
     return TotalClass(KIND_PONTRYAGIN, c.sphere_dim, comps)
 
 
-def euler_from_top_chern(c: TotalClass, n: int) -> Fraction:
-    """Euler number contribution of a rank-n complex bundle: the
-    generator coefficient of c_n (0 when absent)."""
-    if c.kind != KIND_CHERN:
-        raise ValueError(f"expected chern classes, got {c.kind}")
-    return c.component(n)
-
-
 class LemmaReplay(Record):
     """Step-by-step record of the top-Pontryagin / Euler-class identity
     forced on S^{4k} by an almost complex structure, ending in the

@@ -69,6 +69,8 @@ class PowerSeries:
         return cls([0, 1], order=order)
 
     def coefficient(self, k: int) -> Fraction:
+        if k < 0:
+            raise ValueError(f"coefficient index must be non-negative, got {k}")
         if k > self.order:
             raise ValueError(f"coefficient {k} beyond truncation order {self.order}")
         return self.coeffs[k]
@@ -380,6 +382,8 @@ def chern_character(rank: int, chern: Sequence[GradedPoly], max_weight: int) -> 
     """
     if rank < 1:
         raise ValueError(f"rank must be positive, got {rank}")
+    if max_weight < 0:
+        raise ValueError(f"max_weight must be non-negative, got {max_weight}")
     chern = list(chern)
     if len(chern) < rank:
         raise ValueError(
@@ -395,7 +399,7 @@ def chern_character(rank: int, chern: Sequence[GradedPoly], max_weight: int) -> 
     if not isinstance(first, GradedPoly):
         raise TypeError("chern classes must be GradedPoly values")
     for i, c in enumerate(chern, start=1):
-        if not (c.is_zero() or c.is_homogeneous(i)):
+        if not c.is_homogeneous(i):
             raise ValueError(f"class c_{i} must be homogeneous of weight {i}")
     zero = GradedPoly.zero(first.generators, first.weights)
     values = [c.truncate(max_weight) for c in chern]

@@ -7,7 +7,10 @@ instead of integer vectors over a common denominator, the product oracle
 runs the recursive doubling formula on such tuples instead of the
 structure-constant table, Bernoulli numbers come from the classical
 recurrence, the L-polynomial oracle expands prod Q(b_i z) in root
-variables instead of running the multiplicative sequence, and the two
+variables and reduces it to the elementary basis by leading-term
+elimination instead of running the multiplicative sequence, the Newton
+polynomials are checked against power sums of the roots by substituting
+elementary symmetric polynomials, and the two
 Nijenhuis oracles evaluate the brackets of whole ambient vector fields
 instead of 1-jets: one differentiates them by exact finite differences
 (central differences with Richardson extrapolation are exact for
@@ -15,12 +18,14 @@ polynomial maps of degree <= 4 at rational step sizes), the other
 symbolically as polynomial vector fields.
 """
 from fractions import Fraction
+from itertools import combinations
 from math import comb
+from typing import Mapping, Optional
 
 from acstk.cayley_dickson import CDElement, basis_product
 from acstk.genera import q_series
 from acstk.sphere_acs import cross
-from acstk.symfun import GradedPoly, MultiPoly, beta_variables, reduce_to_elementary
+from acstk.symfun import GradedPoly
 
 # Hardcoded quaternion multiplication table with i = e1, j = e2, k = e3:
 # i*j = k, j*k = i, k*i = j, squares of imaginary units are -1.
@@ -99,31 +104,195 @@ def positive_bernoulli_oracle(k: int) -> Fraction:
     return abs(classical_bernoulli(2 * k)[2 * k])
 
 
+# ----------------------------------------------------------------------
+# Root variables and symmetric functions.  A polynomial in root variables
+# is a GradedPoly whose weights are all 1.
+
+
+def unit_poly(variables, terms=None) -> GradedPoly:
+    """The polynomial with these terms (zero by default) in variables of
+    weight 1."""
+    return GradedPoly(variables, (1,) * len(variables), terms or {})
+
+
+def unit_constant(variables, value) -> GradedPoly:
+    return unit_poly(variables, {(0,) * len(variables): value})
+
+
+def unit_variable(variables, name) -> GradedPoly:
+    return GradedPoly.generator(variables, (1,) * len(variables), name)
+
+
+def beta_variables(m: int) -> tuple[str, ...]:
+    """Canonical root-variable names b1..bm."""
+    return tuple(f"b{i}" for i in range(1, m + 1))
+
+
+def sigma_generators(k: int) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """Generator names s1..sk with weights 1..k (s_j stands for the j-th
+    elementary symmetric polynomial), as in `newton_polynomial(k)`."""
+    return tuple(f"s{i}" for i in range(1, k + 1)), tuple(range(1, k + 1))
+
+
+def elementary_symmetric(m: int, j: int) -> GradedPoly:
+    """The elementary symmetric polynomial sigma_j in m root variables."""
+    if not 0 <= j <= m:
+        raise ValueError(f"need 0 <= j <= m, got j={j}, m={m}")
+    terms = {}
+    for combo in combinations(range(m), j):
+        terms[tuple(1 if i in combo else 0 for i in range(m))] = 1
+    return unit_poly(beta_variables(m), terms)
+
+
+def power_sum(m: int, k: int) -> GradedPoly:
+    """The power sum b1^k + ... + bm^k."""
+    terms = {tuple(k if j == i else 0 for j in range(m)): 1 for i in range(m)}
+    return unit_poly(beta_variables(m), terms)
+
+
+def _swap(p: GradedPoly, i: int, j: int) -> GradedPoly:
+    out = {}
+    for exps, coeff in p.terms.items():
+        e = list(exps)
+        e[i], e[j] = e[j], e[i]
+        out[tuple(e)] = coeff
+    return GradedPoly(p.generators, p.weights, out)
+
+
+def asymmetry_witness(p: GradedPoly) -> Optional[tuple[str, str]]:
+    """The first adjacent transposition that changes p, or None if p is
+    symmetric.  Adjacent transpositions generate the full symmetric
+    group, so None certifies symmetry."""
+    for i in range(len(p.generators) - 1):
+        if _swap(p, i, i + 1) != p:
+            return (p.generators[i], p.generators[i + 1])
+    return None
+
+
+def leading_term_lex(p: GradedPoly) -> tuple[tuple, Fraction]:
+    exps = max(p.terms)
+    return exps, p.terms[exps]
+
+
+def reduce_to_elementary(p: GradedPoly) -> GradedPoly:
+    """Express a symmetric polynomial in root variables in the elementary
+    basis s1..sm.
+
+    Uses repeated leading-term elimination in lexicographic order: the
+    leading exponent vector (a1 >= a2 >= ... >= am) of a symmetric
+    polynomial is killed by c * s1^(a1-a2) * s2^(a2-a3) * ... * sm^am.
+    Raises on non-symmetric input, naming a witnessing transposition.
+    """
+    witness = asymmetry_witness(p)
+    if witness is not None:
+        raise ValueError(
+            f"polynomial is not symmetric: swapping {witness[0]} and "
+            f"{witness[1]} changes it"
+        )
+    m = len(p.generators)
+    gens, weights = sigma_generators(m)
+    sigma = [elementary_symmetric(m, j) for j in range(m + 1)]
+    power_cache: dict[tuple[int, int], GradedPoly] = {}
+
+    def sigma_power(j: int, e: int) -> GradedPoly:
+        key = (j, e)
+        if key not in power_cache:
+            power_cache[key] = sigma[j] ** e
+        return power_cache[key]
+
+    out_terms: dict[tuple, Fraction] = {}
+    work = p
+    while work.terms:
+        exps, coeff = leading_term_lex(work)
+        if any(exps[i] < exps[i + 1] for i in range(m - 1)):
+            raise AssertionError(
+                "leading exponents of a symmetric polynomial must be sorted"
+            )
+        sig_exps = tuple(
+            exps[i] - exps[i + 1] for i in range(m - 1)
+        ) + (exps[m - 1],)
+        out_terms[sig_exps] = out_terms.get(sig_exps, Fraction(0)) + coeff
+        expansion = unit_constant(p.generators, coeff)
+        for j, e in enumerate(sig_exps, start=1):
+            if e:
+                expansion = expansion * sigma_power(j, e)
+        work = work - expansion
+    return GradedPoly(gens, weights, out_terms)
+
+
+def substitute(p: GradedPoly, assignments: Mapping[str, object]):
+    """Evaluate a graded polynomial with every generator assigned.
+
+    Values may be rationals or GradedPoly (anything closed under +, * and
+    integer powers).  Returns a Fraction when the result collapses to a
+    scalar.
+    """
+    missing = [g for g in p.generators if g not in assignments]
+    if missing:
+        raise ValueError(f"unassigned generator {missing[0]}")
+    total = None
+    for exps, coeff in p.terms.items():
+        term = coeff
+        for name, e in zip(p.generators, exps):
+            if e:
+                term = term * (assignments[name] ** e)
+        total = term if total is None else total + term
+    if total is None:
+        for v in assignments.values():
+            if isinstance(v, GradedPoly):
+                return v * 0
+        return Fraction(0)
+    if isinstance(total, (int, Fraction)):
+        return Fraction(total)
+    return total
+
+
+def expand_in_roots(g: GradedPoly, m: int) -> GradedPoly:
+    """Expand a graded polynomial in s1..sk into m >= k root variables by
+    substituting the elementary symmetric polynomials."""
+    k = len(g.generators)
+    if m < k:
+        raise ValueError(f"need at least {k} root variables, got {m}")
+    assignments = {
+        g.generators[j - 1]: elementary_symmetric(m, j) for j in range(1, k + 1)
+    }
+    value = substitute(g, assignments)
+    if isinstance(value, Fraction):
+        return unit_constant(beta_variables(m), value)
+    return value
+
+
 def l_polynomial_in_roots(k: int, m: int) -> GradedPoly:
     """L_k by root expansion: the coefficient of z^k in prod_i Q(b_i z)
-    over m >= k root variables, reduced to the elementary basis and
-    renamed to p-generators."""
+    over m >= k root variables, reduced to the elementary basis s1..sm,
+    which must leave s_{k+1}..s_m unused, and read in p1..pk."""
     q = q_series(k)
     variables = beta_variables(m)
-    coeffs = [MultiPoly.constant(variables, 1)] + [
-        MultiPoly.zero(variables) for _ in range(k)
-    ]
+    coeffs = [unit_constant(variables, 1)] + [unit_poly(variables) for _ in range(k)]
     for name in variables:
-        b = MultiPoly.variable(variables, name)
-        powers = [MultiPoly.constant(variables, 1)]
+        b = unit_variable(variables, name)
+        powers = [unit_constant(variables, 1)]
         for _ in range(k):
             powers.append(powers[-1] * b)
         factor = [powers[j] * q.coefficient(j) for j in range(k + 1)]
-        new = [MultiPoly.zero(variables) for _ in range(k + 1)]
+        new = [unit_poly(variables) for _ in range(k + 1)]
         for i in range(k + 1):
-            if coeffs[i].is_zero():
+            if not coeffs[i]:
                 continue
             for j in range(k + 1 - i):
                 new[i + j] = new[i + j] + coeffs[i] * factor[j]
         coeffs = new
     reduced = reduce_to_elementary(coeffs[k])
-    reduced = reduced.restrict_generators(tuple(f"s{i}" for i in range(1, k + 1)))
-    return reduced.rename_generators({f"s{i}": f"p{i}" for i in range(1, k + 1)})
+    terms = {}
+    for exps, c in reduced.terms.items():
+        if any(exps[k:]):
+            raise ValueError(f"L_{k} in roots uses a generator beyond s{k}: {exps}")
+        terms[exps[:k]] = c
+    return GradedPoly(tuple(f"p{i}" for i in range(1, k + 1)), tuple(range(1, k + 1)), terms)
+
+
+# ----------------------------------------------------------------------
+# Nijenhuis tensor by finite differences of whole vector fields
 
 
 def _as_imaginary(level, coords):
@@ -202,36 +371,48 @@ def _ambient_variables(level: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(1, d + 1))
 
 
-def _extension_field(u: CDElement, variables) -> list[MultiPoly]:
+def diff(p: GradedPoly, name: str) -> GradedPoly:
+    """Exact partial derivative with respect to one generator."""
+    i = p.generators.index(name)
+    out: dict = {}
+    for exps, coeff in p.terms.items():
+        k = exps[i]
+        if k:
+            e = exps[:i] + (k - 1,) + exps[i + 1:]
+            out[e] = out.get(e, 0) + coeff * k
+    return GradedPoly(p.generators, p.weights, out)
+
+
+def _extension_field(u: CDElement, variables) -> list[GradedPoly]:
     """The canonical tangent extension U(x) = u - <u, x> x as a polynomial
     vector field on the ambient imaginary space (components on e_1..e_d)."""
     d = len(variables)
     coeffs = u.coeffs[1:]
-    inner = MultiPoly.zero(variables)
-    xs = [MultiPoly.variable(variables, v) for v in variables]
+    inner = unit_poly(variables)
+    xs = [unit_variable(variables, v) for v in variables]
     for c, x in zip(coeffs, xs):
         if c:
             inner = inner + x * c
-    return [MultiPoly.constant(variables, coeffs[i]) - inner * xs[i] for i in range(d)]
+    return [unit_constant(variables, coeffs[i]) - inner * xs[i] for i in range(d)]
 
 
-def _identity_field(variables) -> list[MultiPoly]:
-    return [MultiPoly.variable(variables, v) for v in variables]
+def _identity_field(variables) -> list[GradedPoly]:
+    return [unit_variable(variables, v) for v in variables]
 
 
-def _cross_fields(a: list[MultiPoly], b: list[MultiPoly], level: int) -> list[MultiPoly]:
+def _cross_fields(a: list[GradedPoly], b: list[GradedPoly], level: int) -> list[GradedPoly]:
     """Componentwise cross product of two imaginary-valued polynomial
     fields, via the basis structure constants (e_i e_j = sign e_k maps
     a_i b_j into component k for i != j; i = j lands in the real part
     and does not contribute)."""
-    variables = a[0].variables
+    variables = a[0].generators
     d = len(variables)
-    out = [MultiPoly.zero(variables) for _ in range(d)]
+    out = [unit_poly(variables) for _ in range(d)]
     for i in range(1, d + 1):
-        if a[i - 1].is_zero():
+        if not a[i - 1]:
             continue
         for j in range(1, d + 1):
-            if i == j or b[j - 1].is_zero():
+            if i == j or not b[j - 1]:
                 continue
             sign, k = basis_product(level, i, j)
             prod = a[i - 1] * b[j - 1]
@@ -239,20 +420,20 @@ def _cross_fields(a: list[MultiPoly], b: list[MultiPoly], level: int) -> list[Mu
     return out
 
 
-def lie_bracket(a: list[MultiPoly], b: list[MultiPoly]) -> list[MultiPoly]:
+def lie_bracket(a: list[GradedPoly], b: list[GradedPoly]) -> list[GradedPoly]:
     """Ambient Lie bracket [A, B]_i = sum_j A_j dB_i/dx_j - B_j dA_i/dx_j,
     with exact symbolic differentiation."""
-    variables = a[0].variables
+    variables = a[0].generators
     out = []
     for i in range(len(variables)):
-        acc = MultiPoly.zero(variables)
+        acc = unit_poly(variables)
         for j, name in enumerate(variables):
-            acc = acc + a[j] * b[i].diff(name) - b[j] * a[i].diff(name)
+            acc = acc + a[j] * diff(b[i], name) - b[j] * diff(a[i], name)
         out.append(acc)
     return out
 
 
-def _evaluate_field(field: list[MultiPoly], coords, level: int) -> CDElement:
+def _evaluate_field(field: list[GradedPoly], coords, level: int) -> CDElement:
     values = [f.evaluate(coords) for f in field]
     return CDElement(level, tuple([Fraction(0)] + values))
 

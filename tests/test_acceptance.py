@@ -27,17 +27,16 @@ from acstk.sphere_acs import (
     random_tangent,
     verify_j_structure,
 )
-from acstk.symfun import (
-    GradedPoly,
-    MultiPoly,
+from acstk.symfun import GradedPoly, newton_polynomial, power_sums_from_values
+from oracles import (
     beta_variables,
     elementary_symmetric,
-    newton_polynomial,
+    nijenhuis_fd,
+    positive_bernoulli_oracle,
     power_sum,
-    power_sums_from_values,
     substitute,
+    unit_poly,
 )
-from oracles import nijenhuis_fd, positive_bernoulli_oracle
 
 
 def _finish(number: int, name: str, started: float, budget: float):
@@ -163,7 +162,7 @@ def test_criterion_7_newton_identity_oracle():
     for k in (7, 8):
         for m in (k, k + 1, k + 2):
             sig = [elementary_symmetric(m, j) for j in range(1, k + 1)]
-            nus = power_sums_from_values(sig, k, MultiPoly.zero(beta_variables(m)))
+            nus = power_sums_from_values(sig, k, unit_poly(beta_variables(m)))
             assert nus[k - 1] == power_sum(m, k)
             beta = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(m)]
             values = {f"s{j}": sig[j - 1].evaluate(beta) for j in range(1, k + 1)}

@@ -11,7 +11,6 @@ from acstk.char_class import (
     SphereCohomologyClass,
     TotalClass,
     conjugate_classes,
-    euler_from_top_chern,
     pontryagin_from_complexification,
     replay_lemma_pontryagin_euler,
     whitney_product,
@@ -98,18 +97,6 @@ def test_pontryagin_from_complexification():
     assert pontryagin_from_complexification(conjugate_classes(c)) == pontryagin_from_complexification(c)
     with pytest.raises(ValueError):
         pontryagin_from_complexification(TotalClass(KIND_PONTRYAGIN, 4, {1: 1}))
-
-
-def test_euler_from_top_chern():
-    tangent_model = TotalClass(KIND_CHERN, 2, {1: 2})
-    assert euler_from_top_chern(tangent_model, 1) == 2
-    assert euler_from_top_chern(TotalClass.unit(KIND_CHERN, 2), 1) == 0
-    # S^{2n} tangent model pairs to the Euler characteristic 2
-    for n in (2, 3):
-        model = TotalClass(KIND_CHERN, 2 * n, {n: 2})
-        assert euler_from_top_chern(model, n) == 2
-    with pytest.raises(ValueError):
-        euler_from_top_chern(TotalClass(KIND_PONTRYAGIN, 4, {1: 1}), 1)
 
 
 def test_lemma_replay_small_k():

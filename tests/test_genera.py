@@ -19,8 +19,8 @@ from acstk.genera import (
     sinh_series,
     tanh_over_w_in_z,
 )
-from acstk.symfun import GradedPoly, newton_polynomial, substitute
-from oracles import l_polynomial_in_roots, positive_bernoulli_oracle
+from acstk.symfun import GradedPoly, newton_polynomial
+from oracles import l_polynomial_in_roots, positive_bernoulli_oracle, substitute
 
 
 def series(*coeffs):
@@ -223,6 +223,26 @@ def test_chern_character_errors():
         chern_character(1, [t, t], max_weight=2)
     with pytest.raises(ValueError, match="homogeneous of weight 2"):
         chern_character(2, [t, t], max_weight=2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: q_series(4).coefficient(-1), "non-negative, got -1"),
+        (
+            lambda: chern_character(1, [GradedPoly.generator(("t",), (1,), "t")], max_weight=-1),
+            "max_weight must be non-negative",
+        ),
+        (
+            lambda: GradedPoly.generator(("p1", "p2"), (1, 2), "p1").evaluate({"p1": 1}),
+            "no value for generator p2",
+        ),
+    ],
+    ids=["series-coefficient-below-0", "chern-max-weight-below-0", "evaluate-missing-generator"],
+)
+def test_out_of_range_arguments_raise_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_chern_character_additive_and_multiplicative_on_root_models():
