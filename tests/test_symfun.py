@@ -19,7 +19,7 @@ from oracles import (
 )
 
 
-def random_multipoly(variables, rng, max_terms=5, max_exp=3):
+def random_unit_poly(variables, rng, max_terms=5, max_exp=3):
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         exps = tuple(rng.randint(0, max_exp) for _ in variables)
@@ -177,7 +177,7 @@ def test_ring_axioms_randomized(make):
     rng = random.Random(2)
     variables = ("x", "y", "z")
     for _ in range(25):
-        a, b, c = (make(variables, random_multipoly(variables, rng).terms) for _ in range(3))
+        a, b, c = (make(variables, random_unit_poly(variables, rng).terms) for _ in range(3))
         assert a + b == b + a
         assert a * b == b * a
         assert (a + b) * c == a * c + b * c
