@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -125,6 +127,17 @@ def test_lemma_replay_closed_form_up_to_ten():
         assert replay_lemma_pontryagin_euler(k).pairing == (-1) ** k * 4
     with pytest.raises(ValueError):
         replay_lemma_pontryagin_euler(0)
+
+
+def test_lemma_replay_bytes_are_pinned():
+    # every k up to the classify cap n = 400; the certificate bytes must not move
+    text = json.dumps(
+        [replay_lemma_pontryagin_euler(k).as_dict() for k in range(1, 101)], sort_keys=True
+    )
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "6521b6700f862b8cb8810e909dc6523d429d9793fde7a07781211fb01df5b83c"
+    )
 
 
 def test_stiefel_whitney_coefficients_are_mod_two():
