@@ -18,14 +18,7 @@ from .cayley_dickson import (
     embed,
     probe_alternative,
 )
-from .char_class import (
-    SphereCohomologyClass,
-    TotalClass,
-    conjugate_classes,
-    pontryagin_from_complexification,
-    replay_lemma_pontryagin_euler,
-    whitney_product,
-)
+from .char_class import SphereCohomologyClass, replay_lemma_pontryagin_euler
 from .classify import SphereVerdict, classify_range, classify_sphere
 from .errors import InternalInvariantError
 from .genera import (
@@ -50,7 +43,7 @@ from .sphere_acs import (
 )
 from .symfun import GradedPoly, newton_polynomial
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "CDElement",
@@ -61,7 +54,6 @@ __all__ = [
     "SpherePoint",
     "SphereVerdict",
     "TangentVector",
-    "TotalClass",
     "associator",
     "basis_product",
     "bernoulli",
@@ -69,14 +61,12 @@ __all__ = [
     "classify_range",
     "classify_sphere",
     "compare_nijenhuis_associator",
-    "conjugate_classes",
     "cross",
     "embed",
     "j_apply",
     "l_polynomial",
     "newton_polynomial",
     "nijenhuis",
-    "pontryagin_from_complexification",
     "probe_alternative",
     "q_series",
     "rational_sphere_point",
@@ -85,5 +75,4 @@ __all__ = [
     "s_series",
     "tangent_projection",
     "verify_j_structure",
-    "whitney_product",
 ]

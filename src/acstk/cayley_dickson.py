@@ -35,22 +35,16 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from ._record import Record
-from .symfun import _join_signed
-
-Rational = Union[int, Fraction]
+from .symfun import Rational, _frac, _join_signed
 
 #: Exhaustive probes refuse to run above this level; basis-triple
 #: searches grow as (2^n)^3.
 PROBE_LEVEL_CAP = 5
 
 _set = object.__setattr__
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def _over_common_denominator(coeffs) -> tuple[list[int], int]:
@@ -142,10 +136,6 @@ class CDElement(Record):
         num[index] = 1
         return cls._reduced(level, num, 1)
 
-    @classmethod
-    def from_coeffs(cls, level: int, coeffs: Iterable[Rational]) -> "CDElement":
-        return cls(level, coeffs)
-
     # ------------------------------------------------------------------
     # ring structure
 
@@ -227,7 +217,7 @@ class CDElement(Record):
 
     @classmethod
     def from_dict(cls, data: dict) -> "CDElement":
-        return cls(int(data["level"]), tuple(Fraction(c) for c in data["coeffs"]))
+        return cls(int(data["level"]), data["coeffs"])
 
     def __str__(self) -> str:
         parts = []

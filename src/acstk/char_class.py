@@ -2,34 +2,18 @@
 
 The rational cohomology of S^m is modelled as Q[x]/(x^2) with deg x = m:
 a class is a degree-0 scalar plus a multiple of the single positive
-generator, and any product of two positive-degree pieces vanishes.
-Total Stiefel-Whitney / Chern / Pontryagin classes store, per index i,
-the coefficient of the generator in the slot of formal degree i, 2i or
-4i; a slot whose formal degree is not 0 or m is zero in this model and
-is projected away on construction.
-
-Stiefel-Whitney coefficients live in Z/2, the others in Q.
+generator, and any product of two positive-degree pieces vanishes.  Every
+positive-degree characteristic class of a bundle on S^m is zero except
+the one of degree m, so a total Chern or Pontryagin class is 1 + a x,
+where a is the coefficient of that one class.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Union
 
 from ._record import Record
-from .symfun import _join_signed
-
-Rational = Union[int, Fraction]
-
-KIND_STIEFEL_WHITNEY = "stiefel_whitney"
-KIND_CHERN = "chern"
-KIND_PONTRYAGIN = "pontryagin"
-
-_DEGREE_STRIDE = {KIND_STIEFEL_WHITNEY: 1, KIND_CHERN: 2, KIND_PONTRYAGIN: 4}
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+from .symfun import _frac
 
 
 class SphereCohomologyClass(Record):
@@ -81,108 +65,6 @@ class SphereCohomologyClass(Record):
         return self.scalar_top
 
 
-class TotalClass(Record):
-    """A total characteristic class 1 + (indexed positive pieces) on S^m.
-
-    `components[i]` is the generator coefficient of the i-th class; the
-    degree-0 part is always 1.  Pieces whose formal degree differs from
-    the sphere dimension are zero in the model and are dropped.
-    """
-
-    kind: str
-    sphere_dim: int
-    components: Mapping[int, Fraction]
-
-    def __post_init__(self):
-        if self.kind not in _DEGREE_STRIDE:
-            raise ValueError(f"unknown class kind {self.kind!r}")
-        stride = _DEGREE_STRIDE[self.kind]
-        clean = {}
-        for i, c in dict(self.components).items():
-            i = int(i)
-            if i < 1:
-                raise ValueError(f"class indices start at 1, got {i}")
-            if self.kind == KIND_STIEFEL_WHITNEY:
-                c = _frac(c)
-                if c.denominator != 1:
-                    raise ValueError("mod-2 classes need integer coefficients")
-                c = Fraction(c.numerator % 2)
-            else:
-                c = _frac(c)
-            if stride * i != self.sphere_dim:
-                c = Fraction(0)  # H^(stride*i)(S^m) = 0 away from the top
-            if c != 0:
-                clean[i] = c
-        object.__setattr__(self, "components", dict(sorted(clean.items())))
-
-    @classmethod
-    def unit(cls, kind: str, sphere_dim: int) -> "TotalClass":
-        return cls(kind, sphere_dim, {})
-
-    def component(self, i: int) -> Fraction:
-        return self.components.get(i, Fraction(0))
-
-    def degree_of_index(self, i: int) -> int:
-        return _DEGREE_STRIDE[self.kind] * i
-
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "sphere_dim": self.sphere_dim,
-            "components": {str(i): str(c) for i, c in self.components.items()},
-        }
-
-    def __str__(self):
-        letter = {"stiefel_whitney": "w", "chern": "c", "pontryagin": "p"}[self.kind]
-        parts = ["1"]
-        for i, c in self.components.items():
-            head = "" if c == 1 else ("-" if c == -1 else f"{c}*")
-            parts.append(f"{head}{letter}{i}")
-        return _join_signed(parts)
-
-
-def whitney_product(a: TotalClass, b: TotalClass) -> TotalClass:
-    """Product of total classes in the sphere model.
-
-    Because every positive piece sits in the top degree and the top
-    generator squares to zero, the graded convolution collapses to
-    componentwise addition (mod 2 for Stiefel-Whitney classes).
-    """
-    if a.kind != b.kind:
-        raise ValueError(f"cannot multiply a {a.kind} class by a {b.kind} class")
-    if a.sphere_dim != b.sphere_dim:
-        raise ValueError("classes live on spheres of different dimension")
-    out: dict[int, Fraction] = {}
-    for i in set(a.components) | set(b.components):
-        out[i] = a.component(i) + b.component(i)
-    # cross terms a_j * b_k (j, k > 0) all carry x^2 = 0 and vanish
-    return TotalClass(a.kind, a.sphere_dim, out)
-
-
-def conjugate_classes(c: TotalClass) -> TotalClass:
-    """Chern classes of the conjugate bundle: flip odd-indexed signs."""
-    if c.kind != KIND_CHERN:
-        raise ValueError(f"conjugation acts on chern classes, got {c.kind}")
-    return TotalClass(
-        c.kind,
-        c.sphere_dim,
-        {i: (-v if i % 2 else v) for i, v in c.components.items()},
-    )
-
-
-def pontryagin_from_complexification(c: TotalClass) -> TotalClass:
-    """p_i = (-1)^i c_{2i} of the complexification; odd-indexed Chern
-    components are torsion and are discarded."""
-    if c.kind != KIND_CHERN:
-        raise ValueError(f"expected the chern classes of a complexification, got {c.kind}")
-    comps = {}
-    for i, v in c.components.items():
-        if i % 2 == 0:
-            j = i // 2
-            comps[j] = v if j % 2 == 0 else -v
-    return TotalClass(KIND_PONTRYAGIN, c.sphere_dim, comps)
-
-
 class LemmaReplay(Record):
     """Step-by-step record of the top-Pontryagin / Euler-class identity
     forced on S^{4k} by an almost complex structure, ending in the
@@ -223,40 +105,53 @@ AX_STABLY_TRIVIAL = (
 AX_SPHERE_COHOMOLOGY_GAP = "H^j(S^m) = 0 for 0 < j < m"
 
 
+def _class_step(kind: str, index: int, total: SphereCohomologyClass) -> dict:
+    """A replay step's class 1 + a x, filed as the single nonzero class
+    of this kind: index `index` carries the coefficient a."""
+    return {
+        "kind": kind,
+        "sphere_dim": total.sphere_dim,
+        "components": {str(index): str(total.scalar_top)},
+    }
+
+
 def replay_lemma_pontryagin_euler(k: int) -> LemmaReplay:
-    """Replay, with exact class arithmetic on S^{4k}, the chain
+    """Replay, with exact class arithmetic in Q[x]/(x^2) on S^{4k}, the chain
 
         c(T tensor C) = c(T) c(conj T) = (1 + c_{2k})^2 = 1 + 2 c_{2k}
         => (-1)^k p_k = 2 e,   pairing (-1)^k * 4 != 0,
 
     which contradicts the vanishing of sphere Pontryagin classes.  The
     hypothetical tangent class is carried with unit coefficient (the
-    symbol c_{2k}(T) itself); the Euler pairing <c_{2k}(T)> = 2 enters at
-    the end.
+    symbol c_{2k}(T) itself, as x); the Euler pairing <c_{2k}(T)> = 2
+    enters at the end.
     """
     if k < 1:
         raise ValueError(f"the argument applies to S^{{4k}} with k >= 1, got k = {k}")
     m = 4 * k
-    c_t = TotalClass(KIND_CHERN, m, {2 * k: 1})
-    c_tbar = conjugate_classes(c_t)
-    c_complexified = whitney_product(c_t, c_tbar)
-    p = pontryagin_from_complexification(c_complexified)
+    one = SphereCohomologyClass(m, 1, 0)
+    x = SphereCohomologyClass(m, 0, 1)
+    c_t = one + x
+    c_tbar = one + (-1) ** (2 * k) * x  # c_i(conj T) = (-1)^i c_i(T)
+    c_complexified = c_t * c_tbar
+    # p_k = (-1)^k c_{2k}(T tensor C)
+    p = one + (-1) ** k * c_complexified.pairing() * x
     euler_pairing = Fraction(2)  # <c_{2k}(T)> = e(T(S^m)) pairing = chi = 2
-    pairing = p.component(k) * euler_pairing
+    pairing = p.pairing() * euler_pairing
     steps = (
         {
             "label": "c(T) for a hypothetical complex tangent bundle T",
-            "class": c_t.as_dict(),
+            "class": _class_step("chern", 2 * k, c_t),
             "note": "only the top class can be nonzero on a sphere",
         },
-        {"label": "c(conj T)", "class": c_tbar.as_dict()},
+        {"label": "c(conj T)", "class": _class_step("chern", 2 * k, c_tbar)},
         {
             "label": "c(T tensor C) = c(T) * c(conj T)",
-            "class": c_complexified.as_dict(),
+            "class": _class_step("chern", 2 * k, c_complexified),
         },
         {
             "label": "pontryagin classes of the complexification",
-            "class": p.as_dict(),
+            "class": _class_step("pontryagin", k, p),
         },
         {
             "label": "pair against the fundamental class",

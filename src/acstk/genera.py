@@ -20,16 +20,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Sequence
 
 from .errors import InternalInvariantError
-from .symfun import GradedPoly, _join_signed, power_sums_from_values
-
-Rational = Union[int, Fraction]
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+from .symfun import GradedPoly, Rational, _frac, _join_signed, power_sums_from_values
 
 
 class PowerSeries:
@@ -62,11 +56,6 @@ class PowerSeries:
     @classmethod
     def one(cls, order: int) -> "PowerSeries":
         return cls([1], order=order)
-
-    @classmethod
-    def identity(cls, order: int) -> "PowerSeries":
-        """The series z."""
-        return cls([0, 1], order=order)
 
     def coefficient(self, k: int) -> Fraction:
         if k < 0:
@@ -147,23 +136,6 @@ class PowerSeries:
                     acc -= other.coeffs[i] * out[k - i]
             out[k] = acc / b0
         return PowerSeries(out, order=n)
-
-    def compose(self, inner: "PowerSeries") -> "PowerSeries":
-        """Composition self(inner(z)); inner must have zero constant term."""
-        if inner.coeffs[0] != 0:
-            raise ValueError(
-                "composition requires the inner series to have constant term 0, "
-                f"got {inner.coeffs[0]}"
-            )
-        n = min(self.order, inner.order)
-        result = PowerSeries([self.coeffs[0]], order=n)
-        power = PowerSeries.one(n)
-        inner_n = inner.truncate(n)
-        for k in range(1, n + 1):
-            power = power * inner_n
-            if self.coeffs[k]:
-                result = result + power * self.coeffs[k]
-        return result
 
     def scale_argument(self, c: Rational) -> "PowerSeries":
         """z -> c*z, i.e. multiply the k-th coefficient by c^k."""
@@ -252,8 +224,9 @@ def q_series(order: int) -> PowerSeries:
     """The signature series Q(z) = sqrt(z)/tanh(sqrt(z)) = 1 + z/3 - z^2/45 + ...
 
     Computed as the reciprocal of tanh(w)/w with z = w^2, with an
-    internal order buffer; the closed Bernoulli form is available from
-    :func:`q_series_closed_form` and agrees coefficientwise.
+    internal order buffer.  The Bernoulli numbers are read off it, so the
+    closed Bernoulli form of its coefficients is no independent check;
+    the tests build that form from their own Bernoulli recurrence.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
@@ -273,18 +246,6 @@ def bernoulli(k: int) -> Fraction:
     if b <= 0:
         raise InternalInvariantError(f"extracted Bernoulli number B_{k} = {b} is not positive")
     return b
-
-
-def q_series_closed_form(order: int) -> PowerSeries:
-    """Q(z) assembled from the closed Bernoulli formula (second route)."""
-    coeffs = [Fraction(1)]
-    for k in range(1, order + 1):
-        coeffs.append(
-            (-1) ** (k - 1)
-            * Fraction(2 ** (2 * k), math.factorial(2 * k))
-            * bernoulli(k)
-        )
-    return PowerSeries(coeffs, order=order)
 
 
 def s_series(order: int) -> PowerSeries:

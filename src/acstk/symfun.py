@@ -22,6 +22,11 @@ Rational = Union[int, Fraction]
 
 
 def _frac(x) -> Fraction:
+    """The exact rational an int, a Fraction or a string such as "-3/4"
+    names.  A float is refused: it holds a binary approximation (0.1 is
+    3602879701896397/36028797018963968), not the rational it was written as."""
+    if isinstance(x, float):
+        raise TypeError(f"coefficients must be exact rationals, got the float {x!r}")
     return x if isinstance(x, Fraction) else Fraction(x)
 
 

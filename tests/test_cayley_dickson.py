@@ -308,7 +308,7 @@ def _same_value_by_every_route():
     half, quarter = Fraction(1, 2), Fraction(1, 4)
     target = [
         CDElement(2, (Fraction(2, 4), Fraction(-3, 4), 0, 0)),
-        CDElement.from_coeffs(2, ["1/2", Fraction(-6, 8), 0, Fraction(0, 5)]),
+        CDElement(2, ["1/2", Fraction(-6, 8), 0, Fraction(0, 5)]),
         CDElement.scalar(2, quarter) * CDElement(2, (2, -3, 0, 0)),
         CDElement(2, (1, -quarter, 0, 0)) + CDElement(2, (-half, -half, 0, 0)),
         CDElement(2, (1, 0, 0, 1)) - CDElement(2, (half, Fraction(3, 4), 0, 1)),

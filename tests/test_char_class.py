@@ -5,18 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from acstk.char_class import (
-    KIND_CHERN,
-    KIND_PONTRYAGIN,
-    KIND_STIEFEL_WHITNEY,
-    LemmaReplay,
-    SphereCohomologyClass,
-    TotalClass,
-    conjugate_classes,
-    pontryagin_from_complexification,
-    replay_lemma_pontryagin_euler,
-    whitney_product,
-)
+from acstk.char_class import LemmaReplay, SphereCohomologyClass, replay_lemma_pontryagin_euler
 from record_contract import check_record
 
 
@@ -38,67 +27,11 @@ def test_truncated_ring_axioms():
     x = SphereCohomologyClass(m, 0, 1)
     assert x * x == SphereCohomologyClass(m, 0, 0)
     assert x.pairing() == 1
-
-
-def test_total_class_projects_impossible_degrees():
-    # on S^4 only c_2 (degree 4) survives; c_1 (degree 2) is projected away
-    c = TotalClass(KIND_CHERN, 4, {1: 3, 2: 5})
-    assert c.component(1) == 0
-    assert c.component(2) == 5
-    assert c.degree_of_index(2) == 4
-
-
-def test_whitney_product_examples():
-    one = TotalClass.unit(KIND_CHERN, 8)
-    c = TotalClass(KIND_CHERN, 8, {4: 1})
-    assert whitney_product(c, one) == c
-    for k in (1, 2):
-        m = 4 * k
-        ck = TotalClass(KIND_CHERN, m, {2 * k: 1})
-        assert whitney_product(ck, ck) == TotalClass(KIND_CHERN, m, {2 * k: 2})
-    # characteristic 2: (1 + w)^2 = 1 + 2w = 1
-    w = TotalClass(KIND_STIEFEL_WHITNEY, 4, {4: 1})
-    assert whitney_product(w, w) == TotalClass.unit(KIND_STIEFEL_WHITNEY, 4)
-
-
-def test_whitney_product_errors():
-    c = TotalClass(KIND_CHERN, 4, {2: 1})
-    p = TotalClass(KIND_PONTRYAGIN, 4, {1: 1})
-    with pytest.raises(ValueError, match="chern class by a pontryagin"):
-        whitney_product(c, p)
-    other = TotalClass(KIND_CHERN, 8, {4: 1})
+    # the Whitney formula in the model: (1 + x)^2 = 1 + 2x
+    one = SphereCohomologyClass(m, 1, 0)
+    assert (one + x) * (one + x) == one + 2 * x
     with pytest.raises(ValueError, match="different dimension"):
-        whitney_product(c, other)
-
-
-def test_conjugate_classes():
-    c1 = TotalClass(KIND_CHERN, 2, {1: 1})
-    assert conjugate_classes(c1) == TotalClass(KIND_CHERN, 2, {1: -1})
-    c2 = TotalClass(KIND_CHERN, 4, {2: 1})
-    assert conjugate_classes(c2) == c2
-    mixed = TotalClass(KIND_CHERN, 6, {3: Fraction(5, 2)})
-    assert conjugate_classes(conjugate_classes(mixed)) == mixed
-    with pytest.raises(ValueError, match="chern"):
-        conjugate_classes(TotalClass(KIND_PONTRYAGIN, 4, {1: 1}))
-
-
-def test_pontryagin_from_complexification():
-    for k in (1, 2, 3):
-        m = 4 * k
-        doubled = TotalClass(KIND_CHERN, m, {2 * k: 2})
-        p = pontryagin_from_complexification(doubled)
-        assert p == TotalClass(KIND_PONTRYAGIN, m, {k: (-1) ** k * 2})
-    assert pontryagin_from_complexification(
-        TotalClass.unit(KIND_CHERN, 4)
-    ) == TotalClass.unit(KIND_PONTRYAGIN, 4)
-    # odd-indexed components are torsion and disappear
-    odd_only = TotalClass(KIND_CHERN, 2, {1: 7})
-    assert pontryagin_from_complexification(odd_only) == TotalClass.unit(KIND_PONTRYAGIN, 2)
-    # a complexification equals its own conjugate, and the extraction agrees
-    c = TotalClass(KIND_CHERN, 8, {4: Fraction(3, 2)})
-    assert pontryagin_from_complexification(conjugate_classes(c)) == pontryagin_from_complexification(c)
-    with pytest.raises(ValueError):
-        pontryagin_from_complexification(TotalClass(KIND_PONTRYAGIN, 4, {1: 1}))
+        x * SphereCohomologyClass(2 * m, 0, 1)
 
 
 def test_lemma_replay_small_k():
@@ -140,30 +73,6 @@ def test_lemma_replay_bytes_are_pinned():
     )
 
 
-def test_stiefel_whitney_coefficients_are_mod_two():
-    w = TotalClass(KIND_STIEFEL_WHITNEY, 4, {4: 3})
-    assert w.component(4) == 1
-    with pytest.raises(ValueError, match="integer"):
-        TotalClass(KIND_STIEFEL_WHITNEY, 4, {4: Fraction(1, 2)})
-
-
-@pytest.mark.parametrize(
-    "kind, sphere_dim, components, text",
-    [
-        (KIND_CHERN, 4, {}, "1"),
-        (KIND_CHERN, 4, {2: 1}, "1 + c2"),
-        (KIND_CHERN, 4, {2: -1, 1: 7}, "1 - c2"),
-        (KIND_CHERN, 6, {3: Fraction(-3, 2)}, "1 - 3/2*c3"),
-        (KIND_PONTRYAGIN, 8, {2: Fraction(5, 7)}, "1 + 5/7*p2"),
-        (KIND_PONTRYAGIN, 4, {1: -2}, "1 - 2*p1"),
-        (KIND_STIEFEL_WHITNEY, 4, {4: 3, 2: 1}, "1 + w4"),
-        (KIND_STIEFEL_WHITNEY, 4, {4: -2}, "1"),
-    ],
-)
-def test_total_class_str(kind, sphere_dim, components, text):
-    assert str(TotalClass(kind, sphere_dim, components)) == text
-
-
 @pytest.mark.parametrize(
     "cls, fields, expected_repr, hashable, errors",
     [
@@ -173,20 +82,6 @@ def test_total_class_str(kind, sphere_dim, components, text):
             "SphereCohomologyClass(sphere_dim=4, scalar0=Fraction(1, 1), scalar_top=Fraction(-3, 2))",
             True,
             [],
-        ),
-        (
-            TotalClass,
-            dict(kind=KIND_CHERN, sphere_dim=4, components={2: -1, 1: 5}),
-            "TotalClass(kind='chern', sphere_dim=4, components={2: Fraction(-1, 1)})",
-            False,
-            [
-                (dict(kind="euler"), "unknown class kind 'euler'"),
-                (dict(components={0: 1}), "class indices start at 1, got 0"),
-                (
-                    dict(kind=KIND_STIEFEL_WHITNEY, components={4: Fraction(1, 2)}),
-                    "mod-2 classes need integer coefficients",
-                ),
-            ],
         ),
         (
             LemmaReplay,
@@ -201,7 +96,7 @@ def test_total_class_str(kind, sphere_dim, components, text):
             [],
         ),
     ],
-    ids=["SphereCohomologyClass", "TotalClass", "LemmaReplay"],
+    ids=["SphereCohomologyClass", "LemmaReplay"],
 )
 def test_class_records_are_immutable(cls, fields, expected_repr, hashable, errors):
     check_record(cls, fields, expected_repr, hashable=hashable, errors=errors)
