@@ -13,17 +13,23 @@ gcd(den, *num) = 1.  Sums, differences, negation, conjugation, scalar
 multiples and products work on the integers and reduce once through one
 private constructor; inner products and norms are one integer dot product
 and one `Fraction`.  The `Fraction` coefficients (`coeffs`) are built only
-when asked for, for display, JSON and callers of the public API.
+when asked for, for display, JSON and callers of the public API.  The
+random sampler draws integer numerator/denominator pairs and clears them
+to one denominator without building a `Fraction`.
 
 The doubling rule
 
     (a1, a2) * (b1, b2) = (a1*b1 - conj(b2)*a2,  b2*a1 + a2*conj(b1))
 
 with conj(x1, x2) = (conj(x1), -x2) is encoded once, in the structure
-constants `basis_product` (e_i * e_j = +-e_k).  Products run through a
-cached per-level table of them: the signed products of the two numerator
-vectors are accumulated, over the product of the denominators.
-Basis vectors are written e_0 = 1, e_1, ..., e_{2^n - 1}; with this
+constants `basis_product` (e_i * e_j = +-e_k).  Basis indices compose by
+XOR, e_i * e_j = +-e_{i^j}, so coefficient k of a product a*b is one
+signed dot product, sum_i a_i * (+-b_{i^k}).  Products run through a
+cached per-level tuple of `operator.itemgetter`s, one per k, that gather
+those signed entries from b + (-b); the numerator vectors are multiplied
+this way over the product of the denominators.  `cross` (in `sphere_acs`)
+and `associator` keep their intermediate products unreduced and reduce
+once.  Basis vectors are written e_0 = 1, e_1, ..., e_{2^n - 1}; with this
 convention the level-2 basis satisfies e1*e2 = e3, e2*e3 = e1,
 e3*e1 = e2.
 """
@@ -34,7 +40,7 @@ import random
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
-from operator import mul
+from operator import itemgetter, mul, neg
 from typing import Iterable, Optional
 
 from ._record import Record
@@ -47,16 +53,17 @@ PROBE_LEVEL_CAP = 5
 _set = object.__setattr__
 
 
-def _over_common_denominator(coeffs) -> tuple[list[int], int]:
-    """Integer numerators n_i and one denominator d with coeffs[i] = n_i/d.
+def _over_common_denominator(pairs) -> tuple[list[int], int]:
+    """Integer numerators n_i and one denominator d with
+    n_i/d = pairs[i][0]/pairs[i][1] (every pairs[i][1] > 0).
 
-    For reduced `Fraction`s, d = lcm of the denominators is already in
-    lowest terms with the n_i: if p^e is the highest power of a prime p
-    dividing d, then p^e divides some denominator d_i, and p divides
-    neither d/d_i nor that coefficient's numerator.
+    For reduced pairs, d = lcm of the denominators is already in lowest
+    terms with the n_i: if p^e is the highest power of a prime p dividing
+    d, then p^e divides some denominator d_i, and p divides neither d/d_i
+    nor that pair's numerator.  Unreduced pairs need one more reduction.
     """
-    den = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+    den = lcm(*(d for _, d in pairs))
+    return [n * (den // d) for n, d in pairs], den
 
 
 class CDElement(Record):
@@ -84,7 +91,7 @@ class CDElement(Record):
                 f"level {level} elements need {1 << level} "
                 f"coefficients, got {len(coeffs)}"
             )
-        num, den = _over_common_denominator(coeffs)
+        num, den = _over_common_denominator([c.as_integer_ratio() for c in coeffs])
         _set(self, "level", level)
         _set(self, "num", tuple(num))
         _set(self, "den", den)
@@ -140,6 +147,8 @@ class CDElement(Record):
     # ring structure
 
     def _check_level(self, other: "CDElement", what: str):
+        if not isinstance(other, CDElement):
+            raise TypeError(f"cannot {what} a level-{self.level} element and {type(other).__name__!r}")
         if self.level != other.level:
             raise ValueError(
                 f"cannot {what} a level-{self.level} and a "
@@ -147,12 +156,16 @@ class CDElement(Record):
             )
 
     def __add__(self, other: "CDElement") -> "CDElement":
+        if not isinstance(other, CDElement):
+            return NotImplemented
         self._check_level(other, "add")
         den = lcm(self.den, other.den)
         sa, sb = den // self.den, den // other.den
         return CDElement._reduced(self.level, [a * sa + b * sb for a, b in zip(self.num, other.num)], den)
 
     def __sub__(self, other: "CDElement") -> "CDElement":
+        if not isinstance(other, CDElement):
+            return NotImplemented
         self._check_level(other, "subtract")
         den = lcm(self.den, other.den)
         sa, sb = den // self.den, den // other.den
@@ -164,13 +177,7 @@ class CDElement(Record):
     def __mul__(self, other):
         if isinstance(other, CDElement):
             self._check_level(other, "multiply")
-            b = other.num
-            acc = [0] * len(b)
-            for x, row in zip(self.num, _product_table(self.level)):
-                if x:
-                    for y, (k, sign) in zip(b, row):
-                        acc[k] += sign * x * y
-            return CDElement._reduced(self.level, acc, self.den * other.den)
+            return CDElement._reduced(self.level, _int_product(self.level, self.num, other.num), self.den * other.den)
         if isinstance(other, (int, Fraction)):
             n = other.numerator
             return CDElement._reduced(self.level, [a * n for a in self.num], self.den * other.denominator)
@@ -241,7 +248,10 @@ def associator(u: CDElement, v: CDElement, w: CDElement) -> CDElement:
     at level 3, and fails to alternate from level 4 on."""
     u._check_level(v, "associate")
     v._check_level(w, "associate")
-    return (u * v) * w - u * (v * w)
+    level = u.level
+    left = _int_product(level, _int_product(level, u.num, v.num), w.num)
+    right = _int_product(level, u.num, _int_product(level, v.num, w.num))
+    return CDElement._reduced(level, [x - y for x, y in zip(left, right)], u.den * v.den * w.den)
 
 
 def embed(a: CDElement, target_level: int) -> CDElement:
@@ -281,13 +291,27 @@ def basis_product(level: int, i: int, j: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _product_table(level: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Row i lists (k, sign) with e_i * e_j = sign * e_k for j = 0, 1, ..."""
+def _gathers(level: int) -> tuple[itemgetter, ...]:
+    """Getter k maps b + (-b) to (s_0 b_{0^k}, s_1 b_{1^k}, ...), where
+    e_i * e_{i^k} = s_i e_k: coefficient k of a*b is its dot product with a."""
     dim = 1 << level
-    return tuple(
-        tuple((k, sign) for sign, k in (basis_product(level, i, j) for j in range(dim)))
-        for i in range(dim)
-    )
+    gathers = []
+    for k in range(dim):
+        picks = []
+        for i in range(dim):
+            sign, index = basis_product(level, i, i ^ k)
+            if index != k:
+                raise AssertionError("basis product off the XOR index")
+            picks.append(i ^ k if sign > 0 else dim + (i ^ k))
+        # a single index would make itemgetter return a bare entry
+        gathers.append(itemgetter(*picks) if dim > 1 else itemgetter(slice(picks[0], picks[0] + 1)))
+    return tuple(gathers)
+
+
+def _int_product(level: int, a, b) -> list[int]:
+    """Unreduced numerators of a*b for numerator vectors a and b at level."""
+    signed = (*b, *map(neg, b))
+    return [sum(map(mul, a, gather(signed))) for gather in _gathers(level)]
 
 
 def _basis_associator(level: int, a: int, b: int, c: int) -> Optional[tuple[int, int]]:
@@ -316,14 +340,20 @@ def random_element(
     max_num: int = 6,
     max_den: int = 4,
 ) -> CDElement:
-    """A random element with small rational coefficients (for probes/tests)."""
-    coeffs = [
-        Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
-        for _ in range(1 << level)
-    ]
+    """A random element with small rational coefficients (for probes/tests).
+
+    Each coefficient is drawn as rng.randint(-max_num, max_num) over
+    rng.randint(1, max_den); with `imaginary` the real part is drawn too,
+    then set to 0."""
+    pairs = _random_pairs(rng, 1 << level, max_num, max_den)
     if imaginary:
-        coeffs[0] = Fraction(0)
-    return CDElement(level, tuple(coeffs))
+        pairs[0] = (0, 1)
+    return CDElement._reduced(level, *_over_common_denominator(pairs))
+
+
+def _random_pairs(rng: random.Random, count: int, max_num: int, max_den: int) -> list[tuple[int, int]]:
+    """`count` (numerator, denominator) draws, the numerator drawn first."""
+    return [(rng.randint(-max_num, max_num), rng.randint(1, max_den)) for _ in range(count)]
 
 
 class AlternativityReport(Record):

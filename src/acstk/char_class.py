@@ -32,12 +32,16 @@ class SphereCohomologyClass(Record):
             raise ValueError("classes live on spheres of different dimension")
 
     def __add__(self, other):
+        if not isinstance(other, SphereCohomologyClass):
+            return NotImplemented
         self._check(other)
         return SphereCohomologyClass(
             self.sphere_dim, self.scalar0 + other.scalar0, self.scalar_top + other.scalar_top
         )
 
     def __sub__(self, other):
+        if not isinstance(other, SphereCohomologyClass):
+            return NotImplemented
         self._check(other)
         return SphereCohomologyClass(
             self.sphere_dim, self.scalar0 - other.scalar0, self.scalar_top - other.scalar_top
@@ -47,6 +51,8 @@ class SphereCohomologyClass(Record):
         if isinstance(other, (int, Fraction)):
             q = _frac(other)
             return SphereCohomologyClass(self.sphere_dim, self.scalar0 * q, self.scalar_top * q)
+        if not isinstance(other, SphereCohomologyClass):
+            return NotImplemented
         self._check(other)
         # x^2 = 0: top*top drops out
         return SphereCohomologyClass(

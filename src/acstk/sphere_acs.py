@@ -7,7 +7,12 @@ The 2-sphere sits in the imaginary part of the level-2 algebra and the
 p and a tangent vector v, the structure is J_p(v) = p x v, where
 u x v = (uv - vu)/2 = Im(uv) is the commutator cross product of
 imaginary elements.  Sphere points are produced by inverse stereographic
-projection, which keeps every coordinate an exact rational.
+projection, which keeps every coordinate an exact rational.  It runs on
+integers: parameters q_i = N_i/D with S = sum N_i^2 give the point
+(2 N_1 D, ..., 2 N_d D, S - D^2)/(S + D^2), reduced once, and the random
+samplers draw integer numerator/denominator pairs and never build a
+`Fraction`.  Tangent projection and the cross product also work on the
+numerator vectors and reduce once.
 
 The Nijenhuis tensor
 
@@ -30,10 +35,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from ._record import Record
-from .cayley_dickson import CDElement, associator
+from .cayley_dickson import CDElement, _int_product, _over_common_denominator, _random_pairs, associator
+from .symfun import _frac
 
 #: sphere dimension -> level of the ambient doubling algebra
 SPHERE_LEVEL = {2: 2, 6: 3}
@@ -57,7 +64,8 @@ class SpherePoint(Record):
             )
         if not self.vector.is_imaginary():
             raise ValueError("sphere points must be imaginary")
-        if self.vector.norm_sq() != 1:
+        num, den = self.vector.num, self.vector.den
+        if sum(map(mul, num, num)) != den * den:
             raise ValueError(
                 f"sphere points must have unit norm, got |p|^2 = {self.vector.norm_sq()}"
             )
@@ -84,7 +92,7 @@ class TangentVector(Record):
             )
         if not self.vector.is_imaginary():
             raise ValueError("tangent vectors must be imaginary")
-        if self.vector.inner(self.base.vector) != 0:
+        if sum(map(mul, self.vector.num, self.base.vector.num)):
             raise ValueError(
                 "tangent vector is not orthogonal to its base point: "
                 f"<v, p> = {self.vector.inner(self.base.vector)}"
@@ -108,7 +116,9 @@ def cross(u: CDElement, v: CDElement) -> CDElement:
     for name, x in (("first", u), ("second", v)):
         if not x.is_imaginary():
             raise ValueError(f"cross product needs imaginary inputs; {name} has real part {x.real_part()}")
-    return (u * v).imaginary_part()
+    num = _int_product(u.level, u.num, v.num)
+    num[0] = 0
+    return CDElement._reduced(u.level, num, u.den * v.den)
 
 
 def j_apply(t: TangentVector) -> TangentVector:
@@ -129,10 +139,17 @@ def rational_sphere_point(sphere_dim: int, params: Sequence) -> SpherePoint:
         raise ValueError(
             f"S^{sphere_dim} needs {sphere_dim} stereographic parameters, got {len(qs)}"
         )
-    q = CDElement(level, (0, *qs, 0))
-    s = q.norm_sq()
-    pole = CDElement.basis(level, sphere_dim + 1)
-    return SpherePoint((q * 2 + pole * (s - 1)) * (1 / (s + 1)))
+    return _stereographic(level, [_frac(q).as_integer_ratio() for q in qs])
+
+
+def _stereographic(level: int, pairs) -> SpherePoint:
+    """The inverse stereographic image of the parameters q_i = pairs[i][0] /
+    pairs[i][1]: over their common denominator D, q_i = N_i/D, and with
+    S = sum N_i^2 the point is (2 N_1 D, ..., 2 N_d D, S - D^2)/(S + D^2)."""
+    nums, d = _over_common_denominator(pairs)
+    s, d2 = sum(map(mul, nums, nums)), d * d
+    coords = [0, *(2 * d * n for n in nums), s - d2]
+    return SpherePoint(CDElement._reduced(level, coords, s + d2))
 
 
 def tangent_projection(p: SpherePoint, w: CDElement) -> TangentVector:
@@ -144,22 +161,25 @@ def tangent_projection(p: SpherePoint, w: CDElement) -> TangentVector:
         )
     if not w.is_imaginary():
         raise ValueError(f"tangent projection needs an imaginary vector, got real part {w.real_part()}")
-    return TangentVector(p, w - p.vector * w.inner(p.vector))
+    # (W Dp^2 - (W.P) P) / (Dw Dp^2) for w = W/Dw, p = P/Dp
+    pnum, pden = p.vector.num, p.vector.den
+    dp2, wp = pden * pden, sum(map(mul, w.num, pnum))
+    coords = [x * dp2 - wp * y for x, y in zip(w.num, pnum)]
+    return TangentVector(p, CDElement._reduced(w.level, coords, w.den * dp2))
 
 
 def random_sphere_point(sphere_dim: int, rng: random.Random) -> SpherePoint:
-    params = [
-        Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(sphere_dim)
-    ]
-    return rational_sphere_point(sphere_dim, params)
+    """The stereographic image of parameters drawn as rng.randint(-9, 9)
+    over rng.randint(1, 9), numerator first."""
+    return _stereographic(_level_for(sphere_dim), _random_pairs(rng, sphere_dim, 9, 9))
 
 
 def random_tangent(p: SpherePoint, rng: random.Random) -> TangentVector:
-    dim = 1 << p.vector.level
-    coeffs = [Fraction(0)] + [
-        Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(dim - 1)
-    ]
-    return tangent_projection(p, CDElement(p.vector.level, tuple(coeffs)))
+    """The tangent projection at p of an imaginary vector whose
+    coefficients are drawn as rng.randint(-9, 9) over rng.randint(1, 9)."""
+    level = p.vector.level
+    num, den = _over_common_denominator(_random_pairs(rng, (1 << level) - 1, 9, 9))
+    return tangent_projection(p, CDElement._reduced(level, [0, *num], den))
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,8 @@ the quaternion table is hardcoded, the vector operations of the doubling
 algebras are per-coefficient `Fraction` arithmetic on coefficient tuples
 instead of integer vectors over a common denominator, the product oracle
 runs the recursive doubling formula on such tuples instead of the
-structure-constant table, Bernoulli numbers come from the classical
+structure-constant gathers, the random samplers build one `Fraction` per
+draw and project on such tuples, Bernoulli numbers come from the classical
 recurrence, the L-polynomial oracle expands prod Q(b_i z) in root
 variables and reduces it to the elementary basis by leading-term
 elimination instead of running the multiplicative sequence, the Newton
@@ -87,6 +88,43 @@ def doubling_product(a, b):
         x + y for x, y in zip(doubling_product(b2, a1), doubling_product(a2, coeff_conjugate(b1)))
     )
     return first + second
+
+
+# The random samplers on `Fraction`s: each coefficient is built from one
+# (numerator, denominator) draw, numerator first, and the sphere point and
+# tangent come from per-coefficient arithmetic.  The reference for the
+# values of the integer samplers and for the draws they consume.
+
+
+def random_element_oracle(level, rng, imaginary=False, max_num=6, max_den=4):
+    coeffs = [
+        Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
+        for _ in range(1 << level)
+    ]
+    if imaginary:
+        coeffs[0] = Fraction(0)
+    return tuple(coeffs)
+
+
+def stereographic_oracle(params):
+    """(0, 2q_1, ..., 2q_d, s - 1)/(s + 1) with s = sum q_i^2."""
+    qs = [Fraction(q) for q in params]
+    s = sum((q * q for q in qs), Fraction(0))
+    return (Fraction(0), *(2 * q / (s + 1) for q in qs), (s - 1) / (s + 1))
+
+
+def random_sphere_point_oracle(sphere_dim, rng):
+    return stereographic_oracle(
+        [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(sphere_dim)]
+    )
+
+
+def random_tangent_oracle(p, rng):
+    """w - <w, p> p for the coefficient tuple p and a drawn imaginary w."""
+    w = (Fraction(0),) + tuple(
+        Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(len(p) - 1)
+    )
+    return coeff_sub(w, coeff_scale(p, coeff_inner(w, p)))
 
 
 def classical_bernoulli(n_max: int) -> list[Fraction]:

@@ -1,0 +1,50 @@
+"""Timings of the doubling-algebra kernels, with pytest-benchmark.
+
+The default test run does not collect this file (its name does not start
+with ``test_``); name it to run it:
+
+    PYTHONPATH=src python -m pytest tests/perf_kernels.py --benchmark-only
+
+Each benchmark times one call on fixed seeded inputs: the product at
+levels 2 to 4, the cross product on Im O, the sedenion associator, and a
+random point and tangent on S^6.  The sampler rows draw from one
+`random.Random` that advances between calls, as `verify_j_structure`'s
+loop does.
+"""
+
+import random
+
+import pytest
+
+from acstk.cayley_dickson import associator, random_element
+from acstk.sphere_acs import cross, random_sphere_point, random_tangent
+
+
+@pytest.mark.parametrize("level", [2, 3, 4])
+def test_product(benchmark, level):
+    rng = random.Random(level)
+    a, b = random_element(level, rng), random_element(level, rng)
+    benchmark(a.__mul__, b)
+
+
+def test_cross_octonions(benchmark):
+    rng = random.Random(5)
+    u, v = (random_element(3, rng, imaginary=True) for _ in range(2))
+    benchmark(cross, u, v)
+
+
+def test_associator_sedenions(benchmark):
+    rng = random.Random(6)
+    u, v, w = (random_element(4, rng) for _ in range(3))
+    benchmark(associator, u, v, w)
+
+
+def test_random_point_s6(benchmark):
+    rng = random.Random(7)
+    benchmark(random_sphere_point, 6, rng)
+
+
+def test_random_tangent_s6(benchmark):
+    rng = random.Random(8)
+    p = random_sphere_point(6, rng)
+    benchmark(random_tangent, p, rng)

@@ -16,7 +16,7 @@ from acstk.cayley_dickson import (
     probe_alternative,
     random_element,
 )
-from oracles import QUATERNION_TABLE, doubling_product
+from oracles import QUATERNION_TABLE, doubling_product, random_element_oracle
 from record_contract import check_record
 
 
@@ -33,7 +33,7 @@ def test_quaternion_table_oracle():
 def test_product_matches_doubling_formula():
     rng = random.Random(9)
     dens = (1, 2, 3, 7, 10, 12, 97)
-    for level in range(5):
+    for level in range(6):
         for _ in range(20):
             # about a third of the coefficients are zero, the rest carry
             # mixed denominators
@@ -64,6 +64,49 @@ def test_octonions_are_not_associative():
     rhs = (basis(3, 1) * basis(3, 2)) * basis(3, 4)
     assert lhs != rhs
     assert associator(basis(3, 1), basis(3, 2), basis(3, 4)) == basis(3, 7) * 2
+
+
+def test_associator_matches_its_definition():
+    # the unreduced integer route against two reduced products
+    rng = random.Random(12)
+    for level in range(2, 6):
+        for _ in range(10):
+            u, v, w = (random_element(level, rng) for _ in range(3))
+            assert associator(u, v, w) == (u * v) * w - u * (v * w)
+            assert associator(u, u, w) == (u * u) * w - u * (u * w)
+
+
+def test_random_element_matches_fraction_oracle():
+    for seed in range(50):
+        for level in range(6):
+            for imaginary in (False, True):
+                rng, ref = random.Random(seed), random.Random(seed)
+                x = random_element(level, rng, imaginary=imaginary)
+                assert x.coeffs == random_element_oracle(level, ref, imaginary=imaginary)
+                assert rng.getstate() == ref.getstate()
+    rng, ref = random.Random(3), random.Random(3)
+    x = random_element(2, rng, max_num=40, max_den=30)
+    assert x.coeffs == random_element_oracle(2, ref, max_num=40, max_den=30)
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        lambda e: e + 1,
+        lambda e: e - 1,
+        lambda e: 1 + e,
+        lambda e: 1 - e,
+        lambda e: e * 0.5,
+        lambda e: 0.5 * e,
+        lambda e: associator(e, e, 1),
+        lambda e: associator(e, 1, e),
+        lambda e: e.inner(1),
+    ],
+    ids=["add", "sub", "radd", "rsub", "mul-float", "rmul-float", "associator-w", "associator-v", "inner"],
+)
+def test_non_element_operands_raise_type_error(expr):
+    with pytest.raises(TypeError):
+        expr(basis(3, 1))
 
 
 def test_level_mismatch_errors_name_both_levels():

@@ -34,6 +34,24 @@ def test_truncated_ring_axioms():
         x * SphereCohomologyClass(2 * m, 0, 1)
 
 
+@pytest.mark.parametrize(
+    "expr",
+    [
+        lambda x: x + 1,
+        lambda x: x - 1,
+        lambda x: 1 + x,
+        lambda x: 1 - x,
+        lambda x: x * 0.5,
+        lambda x: 0.5 * x,
+        lambda x: x * "2",
+    ],
+    ids=["add", "sub", "radd", "rsub", "mul-float", "rmul-float", "mul-str"],
+)
+def test_non_class_operands_raise_type_error(expr):
+    with pytest.raises(TypeError):
+        expr(SphereCohomologyClass(2, 1, 0))
+
+
 def test_lemma_replay_small_k():
     rep1 = replay_lemma_pontryagin_euler(1)
     assert rep1.pairing == -4

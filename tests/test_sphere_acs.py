@@ -19,7 +19,16 @@ from acstk.sphere_acs import (
     tangent_projection,
     verify_j_structure,
 )
-from oracles import lie_bracket, nijenhuis_fd, nijenhuis_symbolic, unit_poly, unit_variable
+from oracles import (
+    lie_bracket,
+    nijenhuis_fd,
+    nijenhuis_symbolic,
+    random_sphere_point_oracle,
+    random_tangent_oracle,
+    stereographic_oracle,
+    unit_poly,
+    unit_variable,
+)
 from record_contract import check_record
 
 E2 = lambda i: CDElement.basis(2, i)
@@ -38,6 +47,16 @@ def test_cross_is_alternating_and_imaginary_only():
         assert not cross(u, u)
     with pytest.raises(ValueError, match="imaginary"):
         cross(CDElement.one(2), E2(1))
+    with pytest.raises(TypeError):
+        cross(E2(1), 1)
+
+
+def test_cross_matches_imaginary_part_of_product():
+    rng = random.Random(13)
+    for level in range(2, 6):
+        for _ in range(10):
+            u, v = (random_element(level, rng, imaginary=True) for _ in range(2))
+            assert cross(u, v) == (u * v).imaginary_part()
 
 
 def test_cross_equals_product_on_orthogonal_imaginaries():
@@ -62,12 +81,26 @@ def test_rational_sphere_point():
         for _ in range(25):
             params = [Fraction(rng.randint(-20, 20), rng.randint(1, 15)) for _ in range(sphere_dim)]
             p = rational_sphere_point(sphere_dim, params)
+            assert p.vector.coeffs == stereographic_oracle(params)
             assert p.vector.norm_sq() == 1
             assert p.sphere_dim == sphere_dim
     with pytest.raises(ValueError, match="parameters"):
         rational_sphere_point(6, [1, 2])
     with pytest.raises(ValueError, match="2 or 6"):
         rational_sphere_point(4, [0, 0, 0, 0])
+
+
+def test_random_samplers_match_fraction_oracles():
+    # same values and the same draws from the stream, which the verify-j
+    # reports and their seeds rest on
+    for seed in range(50):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for sphere_dim in (2, 6):
+            p = random_sphere_point(sphere_dim, rng)
+            expected_p = random_sphere_point_oracle(sphere_dim, ref)
+            assert p.vector.coeffs == expected_p
+            assert random_tangent(p, rng).vector.coeffs == random_tangent_oracle(expected_p, ref)
+            assert rng.getstate() == ref.getstate()
 
 
 def test_sphere_point_invariants():
