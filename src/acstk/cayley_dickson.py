@@ -13,23 +13,20 @@ gcd(den, *num) = 1.  Sums, differences, negation, conjugation, scalar
 multiples and products work on the integers and reduce once through one
 private constructor; inner products and norms are one integer dot product
 and one `Fraction`.  The `Fraction` coefficients (`coeffs`) are built only
-when asked for, for display, JSON and callers of the public API.  The
-random sampler draws integer numerator/denominator pairs and clears them
-to one denominator without building a `Fraction`.
+when asked for, for display, JSON and callers of the public API, and
+never by the random sampler.
 
 The doubling rule
 
     (a1, a2) * (b1, b2) = (a1*b1 - conj(b2)*a2,  b2*a1 + a2*conj(b1))
 
 with conj(x1, x2) = (conj(x1), -x2) is encoded once, in the structure
-constants `basis_product` (e_i * e_j = +-e_k).  Basis indices compose by
-XOR, e_i * e_j = +-e_{i^j}, so coefficient k of a product a*b is one
-signed dot product, sum_i a_i * (+-b_{i^k}).  Products run through a
-cached per-level tuple of `operator.itemgetter`s, one per k, that gather
-those signed entries from b + (-b); the numerator vectors are multiplied
-this way over the product of the denominators.  `cross` (in `sphere_acs`)
-and `associator` keep their intermediate products unreduced and reduce
-once.  Basis vectors are written e_0 = 1, e_1, ..., e_{2^n - 1}; with this
+constants `basis_product` (e_i * e_j = +-e_k).  Indices compose by XOR,
+so coefficient k of a*b is one signed dot product sum_i a_i * (+-b_{i^k})
+of numerators, over the product of the denominators: a cached per-level
+tuple of `operator.itemgetter`s gathers the signed entries from b + (-b).
+`associator` (and `cross` in `sphere_acs`) reduce only their result.
+Basis vectors are written e_0 = 1, e_1, ..., e_{2^n - 1}; with this
 convention the level-2 basis satisfies e1*e2 = e3, e2*e3 = e1,
 e3*e1 = e2.
 """
@@ -340,11 +337,8 @@ def random_element(
     max_num: int = 6,
     max_den: int = 4,
 ) -> CDElement:
-    """A random element with small rational coefficients (for probes/tests).
-
-    Each coefficient is drawn as rng.randint(-max_num, max_num) over
-    rng.randint(1, max_den); with `imaginary` the real part is drawn too,
-    then set to 0."""
+    """A random element with small rational coefficients (for probes/tests);
+    with `imaginary` the real part is drawn too, then set to 0."""
     pairs = _random_pairs(rng, 1 << level, max_num, max_den)
     if imaginary:
         pairs[0] = (0, 1)
@@ -352,7 +346,8 @@ def random_element(
 
 
 def _random_pairs(rng: random.Random, count: int, max_num: int, max_den: int) -> list[tuple[int, int]]:
-    """`count` (numerator, denominator) draws, the numerator drawn first."""
+    """`count` draws of rng.randint(-max_num, max_num) over
+    rng.randint(1, max_den), the numerator drawn first."""
     return [(rng.randint(-max_num, max_num), rng.randint(1, max_den)) for _ in range(count)]
 
 

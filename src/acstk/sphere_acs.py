@@ -7,12 +7,10 @@ The 2-sphere sits in the imaginary part of the level-2 algebra and the
 p and a tangent vector v, the structure is J_p(v) = p x v, where
 u x v = (uv - vu)/2 = Im(uv) is the commutator cross product of
 imaginary elements.  Sphere points are produced by inverse stereographic
-projection, which keeps every coordinate an exact rational.  It runs on
-integers: parameters q_i = N_i/D with S = sum N_i^2 give the point
-(2 N_1 D, ..., 2 N_d D, S - D^2)/(S + D^2), reduced once, and the random
-samplers draw integer numerator/denominator pairs and never build a
-`Fraction`.  Tangent projection and the cross product also work on the
-numerator vectors and reduce once.
+projection on integers: parameters q_i = N_i/D with S = sum N_i^2 give
+(2 N_1 D, ..., 2 N_d D, S - D^2)/(S + D^2), so every coordinate is an
+exact rational.  The random samplers, tangent projection and the cross
+product work on numerators too, and reduce once.
 
 The Nijenhuis tensor
 
@@ -169,14 +167,12 @@ def tangent_projection(p: SpherePoint, w: CDElement) -> TangentVector:
 
 
 def random_sphere_point(sphere_dim: int, rng: random.Random) -> SpherePoint:
-    """The stereographic image of parameters drawn as rng.randint(-9, 9)
-    over rng.randint(1, 9), numerator first."""
+    """The stereographic image of `sphere_dim` random parameters."""
     return _stereographic(_level_for(sphere_dim), _random_pairs(rng, sphere_dim, 9, 9))
 
 
 def random_tangent(p: SpherePoint, rng: random.Random) -> TangentVector:
-    """The tangent projection at p of an imaginary vector whose
-    coefficients are drawn as rng.randint(-9, 9) over rng.randint(1, 9)."""
+    """The tangent projection at p of a random imaginary vector."""
     level = p.vector.level
     num, den = _over_common_denominator(_random_pairs(rng, (1 << level) - 1, 9, 9))
     return tangent_projection(p, CDElement._reduced(level, [0, *num], den))

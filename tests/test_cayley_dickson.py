@@ -25,7 +25,7 @@ def basis(level, i):
 
 
 def test_quaternion_table_oracle():
-    # the table-driven product must reproduce the hardcoded table
+    # the gathered integer product must reproduce the hardcoded table
     for (i, j), (sign, k) in QUATERNION_TABLE.items():
         assert basis(2, i) * basis(2, j) == basis(2, k) * sign
 

@@ -88,6 +88,8 @@ def test_rational_sphere_point():
         rational_sphere_point(6, [1, 2])
     with pytest.raises(ValueError, match="2 or 6"):
         rational_sphere_point(4, [0, 0, 0, 0])
+    with pytest.raises(TypeError, match="float"):
+        rational_sphere_point(2, [0.5, 0])
 
 
 def test_random_samplers_match_fraction_oracles():
