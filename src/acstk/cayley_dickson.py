@@ -296,10 +296,11 @@ def _gathers(level: int) -> tuple[itemgetter, ...]:
     for k in range(dim):
         picks = []
         for i in range(dim):
-            sign, index = basis_product(level, i, i ^ k)
+            j = i ^ k
+            sign, index = basis_product(level, i, j)
             if index != k:
                 raise AssertionError("basis product off the XOR index")
-            picks.append(i ^ k if sign > 0 else dim + (i ^ k))
+            picks.append(j if sign > 0 else dim + j)
         # a single index would make itemgetter return a bare entry
         gathers.append(itemgetter(*picks) if dim > 1 else itemgetter(slice(picks[0], picks[0] + 1)))
     return tuple(gathers)
