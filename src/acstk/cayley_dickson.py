@@ -23,8 +23,10 @@ The doubling rule
 with conj(x1, x2) = (conj(x1), -x2) is encoded once, in the structure
 constants `basis_product` (e_i * e_j = +-e_k).  Indices compose by XOR,
 so coefficient k of a*b is one signed dot product sum_i a_i * (+-b_{i^k})
-of numerators, over the product of the denominators: a cached per-level
-tuple of `operator.itemgetter`s gathers the signed entries from b + (-b).
+of numerators, over the product of the denominators.  On first use at a
+level those constants are compiled into one straight-line function that
+unpacks a0..a{d-1} and b0..b{d-1} and returns the d signed dot products
+(4^level terms, which is why levels stop at `LEVEL_CAP`).
 `associator` (and `cross` in `sphere_acs`) reduce only their result.
 Basis vectors are written e_0 = 1, e_1, ..., e_{2^n - 1}; with this
 convention the level-2 basis satisfies e1*e2 = e3, e2*e3 = e1,
@@ -37,17 +39,26 @@ import random
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
-from operator import itemgetter, mul, neg
+from operator import mul
 from typing import Iterable, Optional
 
 from ._record import Record
 from .symfun import Rational, _frac, _join_signed
+
+#: Elements exist up to this level: the level-n product is compiled from
+#: 4^n terms on first use, so the cap bounds that cost.
+LEVEL_CAP = 6
 
 #: Exhaustive probes refuse to run above this level; basis-triple
 #: searches grow as (2^n)^3.
 PROBE_LEVEL_CAP = 5
 
 _set = object.__setattr__
+
+
+def _check_level_cap(level: int) -> None:
+    if not 0 <= level <= LEVEL_CAP:
+        raise ValueError(f"level must be in 0..{LEVEL_CAP}, got {level}")
 
 
 def _over_common_denominator(pairs) -> tuple[list[int], int]:
@@ -80,8 +91,7 @@ class CDElement(Record):
     den: int
 
     def __init__(self, level: int, coeffs: Iterable[Rational]):
-        if level < 0:
-            raise ValueError(f"level must be non-negative, got {level}")
+        _check_level_cap(level)
         coeffs = tuple(_frac(c) for c in coeffs)
         if len(coeffs) != 1 << level:
             raise ValueError(
@@ -117,6 +127,7 @@ class CDElement(Record):
 
     @classmethod
     def zero(cls, level: int) -> "CDElement":
+        _check_level_cap(level)
         return cls._reduced(level, (0,) * (1 << level), 1)
 
     @classmethod
@@ -125,6 +136,7 @@ class CDElement(Record):
 
     @classmethod
     def scalar(cls, level: int, value: Rational) -> "CDElement":
+        _check_level_cap(level)
         q = _frac(value)
         num = [0] * (1 << level)
         num[0] = q.numerator
@@ -133,6 +145,7 @@ class CDElement(Record):
     @classmethod
     def basis(cls, level: int, index: int) -> "CDElement":
         """The basis vector e_index at the given level."""
+        _check_level_cap(level)
         dim = 1 << level
         if not 0 <= index < dim:
             raise ValueError(f"basis index {index} out of range for level {level}")
@@ -144,8 +157,12 @@ class CDElement(Record):
     # ring structure
 
     def _check_level(self, other: "CDElement", what: str):
-        if not isinstance(other, CDElement):
-            raise TypeError(f"cannot {what} a level-{self.level} element and {type(other).__name__!r}")
+        """TypeError unless both operands are elements, ValueError unless
+        their levels agree.  `associator` and `cross` call it through the
+        class, so that their first operand is checked as well."""
+        for x in (self, other):
+            if not isinstance(x, CDElement):
+                raise TypeError(f"cannot {what} {type(x).__name__!r} and a doubling-algebra element")
         if self.level != other.level:
             raise ValueError(
                 f"cannot {what} a level-{self.level} and a "
@@ -174,7 +191,7 @@ class CDElement(Record):
     def __mul__(self, other):
         if isinstance(other, CDElement):
             self._check_level(other, "multiply")
-            return CDElement._reduced(self.level, _int_product(self.level, self.num, other.num), self.den * other.den)
+            return CDElement._reduced(self.level, _kernel(self.level)(self.num, other.num), self.den * other.den)
         if isinstance(other, (int, Fraction)):
             n = other.numerator
             return CDElement._reduced(self.level, [a * n for a in self.num], self.den * other.denominator)
@@ -243,16 +260,17 @@ class CDElement(Record):
 def associator(u: CDElement, v: CDElement, w: CDElement) -> CDElement:
     """(u*v)*w - u*(v*w).  Vanishes identically up to level 2, alternates
     at level 3, and fails to alternate from level 4 on."""
-    u._check_level(v, "associate")
-    v._check_level(w, "associate")
-    level = u.level
-    left = _int_product(level, _int_product(level, u.num, v.num), w.num)
-    right = _int_product(level, u.num, _int_product(level, v.num, w.num))
+    CDElement._check_level(u, v, "associate")
+    CDElement._check_level(v, w, "associate")
+    level, product = u.level, _kernel(u.level)
+    left = product(product(u.num, v.num), w.num)
+    right = product(u.num, product(v.num, w.num))
     return CDElement._reduced(level, [x - y for x, y in zip(left, right)], u.den * v.den * w.den)
 
 
 def embed(a: CDElement, target_level: int) -> CDElement:
     """Zero-padded inclusion into a higher level (explicit, never implicit)."""
+    _check_level_cap(target_level)
     if target_level < a.level:
         raise ValueError(
             f"cannot embed a level-{a.level} element into level {target_level}"
@@ -288,28 +306,24 @@ def basis_product(level: int, i: int, j: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _gathers(level: int) -> tuple[itemgetter, ...]:
-    """Getter k maps b + (-b) to (s_0 b_{0^k}, s_1 b_{1^k}, ...), where
-    e_i * e_{i^k} = s_i e_k: coefficient k of a*b is its dot product with a."""
+def _kernel(level: int):
+    """The product of numerator vectors at `level`, compiled from the
+    structure constants: a straight-line function of (a, b) returning the
+    list of coefficients sum_i s_i a_i b_{i^k}, where e_i * e_{i^k} = s_i e_k."""
     dim = 1 << level
-    gathers = []
+    rows = []
     for k in range(dim):
-        picks = []
+        terms = []
         for i in range(dim):
-            j = i ^ k
-            sign, index = basis_product(level, i, j)
+            sign, index = basis_product(level, i, i ^ k)
             if index != k:
                 raise AssertionError("basis product off the XOR index")
-            picks.append(j if sign > 0 else dim + j)
-        # a single index would make itemgetter return a bare entry
-        gathers.append(itemgetter(*picks) if dim > 1 else itemgetter(slice(picks[0], picks[0] + 1)))
-    return tuple(gathers)
-
-
-def _int_product(level: int, a, b) -> list[int]:
-    """Unreduced numerators of a*b for numerator vectors a and b at level."""
-    signed = (*b, *map(neg, b))
-    return [sum(map(mul, a, gather(signed))) for gather in _gathers(level)]
+            terms.append(f"{'-' if sign < 0 else '+'} a{i}*b{i ^ k}")
+        rows.append(" ".join(terms).removeprefix("+ "))
+    unpack = "".join(f"    {', '.join(f'{x}{i}' for i in range(dim))}, = {x}\n" for x in "ab")
+    namespace = {}
+    exec(f"def product(a, b):\n{unpack}    return [{', '.join(rows)}]\n", namespace)
+    return namespace["product"]
 
 
 def _basis_associator(level: int, a: int, b: int, c: int) -> Optional[tuple[int, int]]:
@@ -340,6 +354,7 @@ def random_element(
 ) -> CDElement:
     """A random element with small rational coefficients (for probes/tests);
     with `imaginary` the real part is drawn too, then set to 0."""
+    _check_level_cap(level)
     pairs = _random_pairs(rng, 1 << level, max_num, max_den)
     if imaginary:
         pairs[0] = (0, 1)
@@ -446,20 +461,25 @@ def probe_alternative(level: int, samples: int = 200, seed: int = 0) -> Alternat
             if witness:
                 break
 
+    # Random repeated-argument triples.  The three associators share the
+    # products uu, uv, vv and vu: 10 products per sample.
     rng = random.Random(seed)
+    product = _kernel(level)
     random_checks = 0
     for _ in range(samples):
-        u = random_element(level, rng)
-        v = random_element(level, rng)
-        for form, trip in (
-            ("[u,u,v]", (u, u, v)),
-            ("[u,v,v]", (u, v, v)),
-            ("[u,v,u]", (u, v, u)),
+        # the draws of random_element(level, rng), twice
+        (a, da), (b, db) = (_over_common_denominator(_random_pairs(rng, dim, 6, 4)) for _ in range(2))
+        uv = product(a, b)
+        for form, left, right, den in (
+            ("[u,u,v]", product(product(a, a), b), product(a, uv), da * da * db),
+            ("[u,v,v]", product(uv, b), product(a, product(b, b)), da * db * db),
+            ("[u,v,u]", product(uv, a), product(a, product(b, a)), da * da * db),
         ):
             random_checks += 1
-            val = associator(*trip)
-            if val and witness is None:
-                witness = (form, u, v, val)
+            val = [x - y for x, y in zip(left, right)]
+            if any(val) and witness is None:
+                u, v = CDElement._reduced(level, a, da), CDElement._reduced(level, b, db)
+                witness = (form, u, v, CDElement._reduced(level, val, den))
 
     if witness is None:
         return AlternativityReport(level, True, basis_checks, random_checks)

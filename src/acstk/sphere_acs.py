@@ -21,9 +21,16 @@ ambient imaginary space and J to (JW)(x) = x x W(x).  An ambient bracket
 at p needs only the 1-jets of its fields there,
 [A, B](p) = DB_p(A(p)) - DA_p(B(p)), and for a tangent u these are
 
-    U(p) = u,  DU_p(w) = -<u, w> p,  (JU)(p) = p x u,  D(JU)_p(w) = w x u,
+    U(p) = u,  DU_p(w) = -<u, w> p,  (JU)(p) = p x u,  D(JU)_p(w) = w x u.
 
-so N is a handful of exact cross products; the trailing J acts at p.
+So [U, V](p) = -<v, u> p + <u, v> p = 0, [JU, JV](p) = (p x u) x v -
+(p x v) x u, and [JU, V](p) = -<v, p x u> p - v x u and [U, JV](p) =
+u x v + <u, p x v> p; as p x p = 0, J maps both of the last two to
+p x (u x v).  Hence the closed form
+
+    N(u, v) = (p x u) x v - (p x v) x u - 2 p x (u x v),
+
+six exact cross products.
 No normalizing factor (such as 1/4) is applied; conventions only matter
 up to nonzero scale here and this one is fixed so frozen values stay
 stable.
@@ -37,7 +44,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from ._record import Record
-from .cayley_dickson import CDElement, _int_product, _over_common_denominator, _random_pairs, associator
+from .cayley_dickson import CDElement, _kernel, _over_common_denominator, _random_pairs, associator
 from .symfun import _frac
 
 #: sphere dimension -> level of the ambient doubling algebra
@@ -110,11 +117,11 @@ def cross(u: CDElement, v: CDElement) -> CDElement:
     vu = conj(uv) for imaginary u and v; equal to u*v itself when u and v
     are orthogonal.
     """
-    u._check_level(v, "cross")
+    CDElement._check_level(u, v, "cross")
     for name, x in (("first", u), ("second", v)):
         if not x.is_imaginary():
             raise ValueError(f"cross product needs imaginary inputs; {name} has real part {x.real_part()}")
-    num = _int_product(u.level, u.num, v.num)
+    num = _kernel(u.level)(u.num, v.num)
     num[0] = 0
     return CDElement._reduced(u.level, num, u.den * v.den)
 
@@ -178,35 +185,16 @@ def random_tangent(p: SpherePoint, rng: random.Random) -> TangentVector:
     return tangent_projection(p, CDElement._reduced(level, [0, *num], den))
 
 
-# ----------------------------------------------------------------------
-# Nijenhuis tensor from 1-jets at the base point
-
-
 def nijenhuis(p: SpherePoint, u: TangentVector, v: TangentVector) -> CDElement:
-    """Exact Nijenhuis tensor value N(u, v) at p; see the module docstring
-    for the extension and sign conventions.  The result is an imaginary
-    element, exactly tangent at p; it vanishes identically on S^2 and is
-    nonzero for generic inputs on S^6."""
+    """Exact Nijenhuis tensor value N(u, v) at p, in the closed form
+    (p x u) x v - (p x v) x u - 2 p x (u x v) of its 1-jet brackets (see
+    the module docstring for the derivation and sign conventions).  The
+    result is an imaginary element, exactly tangent at p; it vanishes
+    identically on S^2 and is nonzero for generic inputs on S^6."""
     if u.base != p or v.base != p:
         raise ValueError("nijenhuis arguments must be tangent at the given point")
-    pv = p.vector
-
-    def jets(w: CDElement):
-        """1-jets (value, derivative) at p of W(x) = w - <w, x> x and of
-        (JW)(x) = x x W(x)."""
-        return (w, lambda z: pv * -w.inner(z)), (cross(pv, w), lambda z: cross(z, w))
-
-    def bracket(a_jet, b_jet) -> CDElement:
-        """[A, B](p) = DB_p(A(p)) - DA_p(B(p))."""
-        (a, da), (b, db) = a_jet, b_jet
-        return db(a) - da(b)
-
-    cap_u, ju = jets(u.vector)
-    cap_v, jv = jets(v.vector)
-    return (
-        bracket(ju, jv) - bracket(cap_u, cap_v)
-        - cross(pv, bracket(ju, cap_v)) - cross(pv, bracket(cap_u, jv))
-    )
+    pv, a, b = p.vector, u.vector, v.vector
+    return cross(cross(pv, a), b) - cross(cross(pv, b), a) - cross(pv, cross(a, b)) * 2
 
 
 class AssociatorComparison(Record):
@@ -301,9 +289,11 @@ def verify_j_structure(sphere_dim: int, samples: int, seed: int = 0) -> JVerific
         p = random_sphere_point(sphere_dim, rng)
         v = random_tangent(p, rng).vector
         jv = cross(p.vector, v)
-        squared &= cross(p.vector, jv) == -v
-        tangent &= jv.inner(p.vector) == 0
-        normed &= jv.norm_sq() == v.norm_sq()
+        jjv = cross(p.vector, jv)
+        # on numerators: jjv and -v are both in lowest terms
+        squared &= jjv.den == v.den and jjv.num == tuple(-x for x in v.num)
+        tangent &= not sum(map(mul, jv.num, p.vector.num))
+        normed &= sum(map(mul, jv.num, jv.num)) * v.den ** 2 == sum(map(mul, v.num, v.num)) * jv.den ** 2
         if example is None:
             example = (p.vector, v)
     return JVerificationReport(

@@ -5,25 +5,28 @@ the quaternion table is hardcoded, the vector operations of the doubling
 algebras are per-coefficient `Fraction` arithmetic on coefficient tuples
 instead of integer vectors over a common denominator, the product oracle
 runs the recursive doubling formula on such tuples instead of the
-structure-constant gathers, the random samplers build one `Fraction` per
-draw and project on such tuples, Bernoulli numbers come from the classical
+compiled structure-constant kernel, the random samplers build one
+`Fraction` per draw and project on such tuples, the alternativity probe
+takes one `associator` per triple instead of the structure table and
+shared products, Bernoulli numbers come from the classical
 recurrence, the L-polynomial oracle expands prod Q(b_i z) in root
 variables and reduces it to the elementary basis by leading-term
 elimination instead of running the multiplicative sequence, the Newton
 polynomials are checked against power sums of the roots by substituting
-elementary symmetric polynomials, and the two
-Nijenhuis oracles evaluate the brackets of whole ambient vector fields
-instead of 1-jets: one differentiates them by exact finite differences
-(central differences with Richardson extrapolation are exact for
-polynomial maps of degree <= 4 at rational step sizes), the other
+elementary symmetric polynomials, and the two Nijenhuis oracles
+evaluate the brackets of whole ambient vector fields instead of the
+closed form of their 1-jets: one differentiates them by exact finite
+differences (central differences with Richardson extrapolation are exact
+for polynomial maps of degree <= 4 at rational step sizes), the other
 symbolically as polynomial vector fields.
 """
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 from typing import Mapping, Optional
 
-from acstk.cayley_dickson import CDElement, basis_product
+from acstk.cayley_dickson import AlternativityReport, CDElement, associator, basis_product, random_element
 from acstk.genera import q_series
 from acstk.sphere_acs import cross
 from acstk.symfun import GradedPoly
@@ -125,6 +128,60 @@ def random_tangent_oracle(p, rng):
         Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(len(p) - 1)
     )
     return coeff_sub(w, coeff_scale(p, coeff_inner(w, p)))
+
+
+def probe_alternative_oracle(level, samples, seed):
+    """`probe_alternative` with one `associator` per triple: the same two
+    basis scans and random repeated-argument scan, in the same order."""
+    dim = 1 << level
+    e = [CDElement.basis(level, i) for i in range(dim)]
+    basis_checks, witness = 0, None
+    for i in range(dim):
+        for j in range(dim):
+            for (a, b, c), form in (((i, i, j), "[u,u,v]"), ((i, j, j), "[u,v,v]"), ((i, j, i), "[u,v,u]")):
+                basis_checks += 1
+                val = associator(e[a], e[b], e[c])
+                if val:
+                    witness = (form, e[i], e[j], val)
+                    break
+            if witness:
+                break
+        if witness:
+            break
+    if witness is None:
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                for k in range(dim):
+                    basis_checks += 1
+                    if associator(e[i], e[j], e[k]) != -associator(e[j], e[i], e[k]):
+                        val = associator(e[i] + e[j], e[i] + e[j], e[k])
+                        if val:
+                            witness = ("[u,u,v]", e[i] + e[j], e[k], val)
+                            break
+                if witness:
+                    break
+            if witness:
+                break
+    random_checks, random_witness = random_scan_oracle(level, samples, seed)
+    witness = witness or random_witness
+    if witness is None:
+        return AlternativityReport(level, True, basis_checks, random_checks)
+    return AlternativityReport(level, False, basis_checks, random_checks, *witness)
+
+
+def random_scan_oracle(level, samples, seed):
+    """The probe's random scan: (checks, first witness or None), one
+    `associator` per repeated-argument triple of `random_element` draws."""
+    rng = random.Random(seed)
+    checks, witness = 0, None
+    for _ in range(samples):
+        u, v = random_element(level, rng), random_element(level, rng)
+        for form, trip in (("[u,u,v]", (u, u, v)), ("[u,v,v]", (u, v, v)), ("[u,v,u]", (u, v, u))):
+            checks += 1
+            val = associator(*trip)
+            if val and witness is None:
+                witness = (form, u, v, val)
+    return checks, witness
 
 
 def classical_bernoulli(n_max: int) -> list[Fraction]:

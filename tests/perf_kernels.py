@@ -6,8 +6,9 @@ with ``test_``); name it to run it:
     PYTHONPATH=src python -m pytest tests/perf_kernels.py --benchmark-only
 
 Each benchmark times one call on fixed seeded inputs: the product at
-levels 2 to 4, the cross product on Im O, the sedenion associator, and a
-random point and tangent on S^6.  The sampler rows draw from one
+levels 2 to 4, the cross product on Im O, the sedenion associator, a
+random point and tangent on S^6, the Nijenhuis tensor on S^6, and the
+sedenion alternativity probe with the benchmark's 60 random samples.  The sampler rows draw from one
 `random.Random` that advances between calls, as `verify_j_structure`'s
 loop does.
 """
@@ -16,8 +17,8 @@ import random
 
 import pytest
 
-from acstk.cayley_dickson import associator, random_element
-from acstk.sphere_acs import cross, random_sphere_point, random_tangent
+from acstk.cayley_dickson import associator, probe_alternative, random_element
+from acstk.sphere_acs import cross, nijenhuis, random_sphere_point, random_tangent
 
 
 @pytest.mark.parametrize("level", [2, 3, 4])
@@ -48,3 +49,14 @@ def test_random_tangent_s6(benchmark):
     rng = random.Random(8)
     p = random_sphere_point(6, rng)
     benchmark(random_tangent, p, rng)
+
+
+def test_nijenhuis_s6(benchmark):
+    rng = random.Random(9)
+    p = random_sphere_point(6, rng)
+    u, v = random_tangent(p, rng), random_tangent(p, rng)
+    benchmark(nijenhuis, p, u, v)
+
+
+def test_probe_alternative_sedenions(benchmark):
+    benchmark(probe_alternative, 4, samples=60)

@@ -7,16 +7,26 @@ from fractions import Fraction
 
 import pytest
 
+from acstk import cayley_dickson
 from acstk.cayley_dickson import (
+    LEVEL_CAP,
     AlternativityReport,
     CDElement,
+    _kernel,
     associator,
     basis_product,
     embed,
     probe_alternative,
     random_element,
 )
-from oracles import QUATERNION_TABLE, doubling_product, random_element_oracle
+from acstk.sphere_acs import cross
+from oracles import (
+    QUATERNION_TABLE,
+    doubling_product,
+    probe_alternative_oracle,
+    random_element_oracle,
+    random_scan_oracle,
+)
 from record_contract import check_record
 
 
@@ -100,9 +110,15 @@ def test_random_element_matches_fraction_oracle():
         lambda e: 0.5 * e,
         lambda e: associator(e, e, 1),
         lambda e: associator(e, 1, e),
+        lambda e: associator(1, e, e),
+        lambda e: cross(e, 1),
+        lambda e: cross(1, e),
         lambda e: e.inner(1),
     ],
-    ids=["add", "sub", "radd", "rsub", "mul-float", "rmul-float", "associator-w", "associator-v", "inner"],
+    ids=[
+        "add", "sub", "radd", "rsub", "mul-float", "rmul-float",
+        "associator-w", "associator-v", "associator-u", "cross-v", "cross-u", "inner",
+    ],
 )
 def test_non_element_operands_raise_type_error(expr):
     with pytest.raises(TypeError):
@@ -295,6 +311,22 @@ def test_probe_alternative_snapshot(level, samples, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("level", [3, 4])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_probe_alternative_matches_per_triple_oracle(level, seed):
+    assert probe_alternative(level, samples=15, seed=seed) == probe_alternative_oracle(level, 15, seed)
+
+
+def test_probe_random_scan_reports_its_first_witness(monkeypatch):
+    # no basis scan finds a witness, so the random scan's first one is reported
+    monkeypatch.setattr(cayley_dickson, "_basis_associator", lambda *args: None)
+    for seed in (0, 3):
+        report = probe_alternative(4, samples=4, seed=seed)
+        checks, (form, u, v, val) = random_scan_oracle(4, 4, seed)
+        assert report.random_checks == checks
+        assert (report.witness_form, report.witness_u, report.witness_v, report.witness_associator) == (form, u, v, val)
+
+
 def test_probe_cost_guard():
     with pytest.raises(ValueError, match="cost cap"):
         probe_alternative(6)
@@ -332,6 +364,33 @@ def test_coefficient_validation():
         CDElement(-1, ())
     with pytest.raises(ValueError):
         CDElement.basis(2, 4)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: CDElement(n, [0] * (1 << n)),
+        CDElement.zero,
+        CDElement.one,
+        lambda n: CDElement.scalar(n, 3),
+        lambda n: CDElement.basis(n, 1),
+        lambda n: embed(CDElement.one(2), n),
+        lambda n: random_element(n, random.Random(0)),
+    ],
+    ids=["init", "zero", "one", "scalar", "basis", "embed", "random_element"],
+)
+def test_levels_above_the_cap_are_refused_before_compiling(build):
+    top = build(LEVEL_CAP)
+    assert top.level == LEVEL_CAP
+    compiled = _kernel.cache_info().currsize
+    with pytest.raises(ValueError, match=f"level must be in 0..{LEVEL_CAP}, got {LEVEL_CAP + 1}"):
+        build(LEVEL_CAP + 1)
+    assert _kernel.cache_info().currsize == compiled
+
+
+def test_top_level_product_follows_the_structure_constants():
+    sign, k = basis_product(LEVEL_CAP, 37, 21)
+    assert basis(LEVEL_CAP, 37) * basis(LEVEL_CAP, 21) == basis(LEVEL_CAP, k) * sign
 
 
 def test_repr_is_pinned():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from acstk import sphere_acs
 from acstk.cayley_dickson import CDElement, random_element
 from acstk.sphere_acs import (
     AssociatorComparison,
@@ -172,6 +173,29 @@ def test_verify_j_structure_report():
     assert data["sphere"] == 2 and data["samples"] == 10 and data["seed"] == 42
     assert data["j_squared_is_minus_identity"] is True
     assert "example_point" in data
+
+
+@pytest.mark.parametrize(
+    "mutant, flags",
+    [
+        # 2(p x v): tangent, but J^2 v = -4v and |Jv|^2 = 4|v|^2
+        (lambda real, u, v: real(u, v) * 2, (False, True, False)),
+        # (p x v)/101: J^2 v = -v/101^2 keeps the numerators of -v (no
+        # sampled v has all of them divisible by 101); only its denominator is off
+        (lambda real, u, v: real(u, v) * Fraction(1, 101), (False, True, False)),
+        # p x v + p: <Jv, p> = 1, |Jv|^2 = |v|^2 + 1 and J^2 v = -v + p
+        (lambda real, u, v: real(u, v) + u, (False, False, False)),
+        # the defining formula (uv - vu)/2 through the generic product
+        (lambda real, u, v: (u * v - v * u) * Fraction(1, 2), (True, True, True)),
+    ],
+    ids=["doubled", "shrunk", "along-p", "defining-formula"],
+)
+def test_verify_j_structure_flags_follow_the_cross_product(monkeypatch, mutant, flags):
+    real = sphere_acs.cross
+    monkeypatch.setattr(sphere_acs, "cross", lambda u, v: mutant(real, u, v))
+    for sphere_dim in (2, 6):
+        report = verify_j_structure(sphere_dim, samples=20, seed=3)
+        assert (report.j_squared_negates, report.image_tangent, report.norm_preserved) == flags
 
 
 def test_lie_bracket_of_coordinate_fields():
