@@ -276,9 +276,9 @@ def verify_j_structure(sphere_dim: int, samples: int, seed: int = 0) -> JVerific
     """Check J^2 v = -v, tangency of Jv and |Jv|^2 = |v|^2 exactly on
     `samples` random stereographic points with random rational tangents.
     At least one sample is required, so a report never passes vacuously.
-    The laws are checked on the raw products p x v and p x (p x v), not
-    through `TangentVector` (which rejects a non-tangent image), so each
-    flag can read false."""
+    The laws are checked on the numerators of the raw products p x v and
+    p x (p x v), not through `TangentVector` (which rejects a non-tangent
+    image), so each flag can read false."""
     _level_for(sphere_dim)
     if samples < 1:
         raise ValueError(f"need at least 1 sample, got {samples}")

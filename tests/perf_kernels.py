@@ -8,9 +8,10 @@ with ``test_``); name it to run it:
 Each benchmark times one call on fixed seeded inputs: the product at
 levels 2 to 4, the cross product on Im O, the sedenion associator, a
 random point and tangent on S^6, the Nijenhuis tensor on S^6, and the
-sedenion alternativity probe with the benchmark's 60 random samples.  The sampler rows draw from one
-`random.Random` that advances between calls, as `verify_j_structure`'s
-loop does.
+sedenion alternativity probe with 60 random samples, as the
+sphere-algebra benchmark workload runs it.  The sampler rows draw from
+one `random.Random` that advances between calls, as
+`verify_j_structure`'s loop does.
 """
 
 import random
