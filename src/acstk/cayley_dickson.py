@@ -363,8 +363,17 @@ def random_element(
 
 def _random_pairs(rng: random.Random, count: int, max_num: int, max_den: int) -> list[tuple[int, int]]:
     """`count` draws of rng.randint(-max_num, max_num) over
-    rng.randint(1, max_den), the numerator drawn first."""
-    return [(rng.randint(-max_num, max_num), rng.randint(1, max_den)) for _ in range(count)]
+    rng.randint(1, max_den), the numerator first, by randint's own rule for a
+    width n (getrandbits(n.bit_length()), redrawn while >= n): same values, same state."""
+    if max_num < 0 or max_den < 1:
+        raise ValueError(f"empty range: max_num = {max_num}, max_den = {max_den}")
+    bits, draws = rng.getrandbits, []
+    for n in (2 * max_num + 1, max_den) * count:
+        r = bits(k := n.bit_length())
+        while r >= n:
+            r = bits(k)
+        draws.append(r)
+    return [(a - max_num, b + 1) for a, b in zip(draws[::2], draws[1::2])]
 
 
 class AlternativityReport(Record):

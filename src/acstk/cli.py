@@ -33,11 +33,11 @@ from .sphere_acs import (
 #: with the number of partitions of k.
 LPOLY_MAX_K = 20
 
-#: Largest `series --order`; q_series(300) takes a few seconds.
+#: Largest `series --order`; q_series(300) takes about a tenth of a second.
 SERIES_MAX_ORDER = 300
 
-#: Largest `bernoulli --k`; each B_k rebuilds q_series(k), so B_1..B_100
-#: take a few seconds.
+#: Largest `bernoulli --k`.  B_1..B_500 take well under a second, but this
+#: cap also sets CLASSIFY_MAX_N, and the Chern check is far too slow at 2,000.
 BERNOULLI_MAX_K = 100
 
 #: Largest `classify` dimension, and largest `--range` end.  The signature

@@ -2,7 +2,9 @@
 Q-series, L-polynomials, their leading coefficients s_k, and the Chern
 character.
 
-The L-polynomials are Hirzebruch's multiplicative sequence of Q, built
+The Bernoulli numbers come from Brent and Harvey's integer triangle of
+tangent numbers (arXiv:1108.0286), the Q-series from them in closed form.  The
+L-polynomials are Hirzebruch's multiplicative sequence of Q, built
 directly in the Pontryagin classes p_1..p_k from log Q and the Newton
 polynomials, and each one is checked against the signature theorem on
 CP^{2k}.
@@ -193,13 +195,11 @@ class PowerSeries:
 
 
 # ----------------------------------------------------------------------
-# elementary series, all built from the exponential series
+# elementary series, Bernoulli numbers and the Q-series
 
 
 def exp_series(order: int) -> PowerSeries:
-    return PowerSeries(
-        [Fraction(1, math.factorial(k)) for k in range(order + 1)], order=order
-    )
+    return PowerSeries([Fraction(1, math.factorial(k)) for k in range(order + 1)], order=order)
 
 
 def sinh_series(order: int) -> PowerSeries:
@@ -207,45 +207,44 @@ def sinh_series(order: int) -> PowerSeries:
     return (e - e.scale_argument(-1)) * Fraction(1, 2)
 
 
-def cosh_series(order: int) -> PowerSeries:
-    e = exp_series(order)
-    return (e + e.scale_argument(-1)) * Fraction(1, 2)
+_TANGENT: list[int] = []  # T_1..T_n so far, built on first use, never at import
+_TANGENT_COLUMN: list[int] = []  # T_n after each stage of the triangle
 
 
-def tanh_over_w_in_z(order: int) -> PowerSeries:
-    """tanh(w)/w as a series in z = w^2, exact to the requested order."""
-    w_order = 2 * order + 1
-    t = sinh_series(w_order).shift_down() / cosh_series(w_order)
-    return t.truncate(2 * order).in_square_variable()
-
-
-@lru_cache(maxsize=None)
-def q_series(order: int) -> PowerSeries:
-    """The signature series Q(z) = sqrt(z)/tanh(sqrt(z)) = 1 + z/3 - z^2/45 + ...
-
-    Computed as the reciprocal of tanh(w)/w with z = w^2, with an
-    internal order buffer.  The Bernoulli numbers are read off it, so the
-    closed Bernoulli form of its coefficients is no independent check;
-    the tests build that form from their own Bernoulli recurrence.
-    """
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    buffered = order + 1
-    q = PowerSeries.one(buffered) / tanh_over_w_in_z(buffered)
-    return q.truncate(order)
+def _tangent_number(k: int) -> int:
+    """T_k, with tan x = sum T_k x^(2k-1)/(2k-1)!.  Stage s of the triangle sets
+    T_j <- (j-s) T_(j-1) + (j-s+2) T_j for j >= s (T_(j-1) drops out at s = j),
+    from T_j = (j-1)!, so the table grows one column at a time in O(j) steps."""
+    while len(_TANGENT) < k:
+        j = len(_TANGENT) + 1
+        new = [math.factorial(j - 1)]
+        for s, left in zip(range(2, j + 1), _TANGENT_COLUMN[1:] + [0]):
+            new.append((j - s) * left + (j - s + 2) * new[-1])
+        _TANGENT_COLUMN[:] = new
+        _TANGENT.append(new[-1])
+    return _TANGENT[k - 1]
 
 
 @lru_cache(maxsize=None)
 def bernoulli(k: int) -> Fraction:
-    """The k-th positive Bernoulli number (1/6, 1/30, 1/42, ...), read off
-    the Q-series via q_k = (-1)^(k-1) 2^(2k)/(2k)! * B_k."""
+    """The k-th positive Bernoulli number (1/6, 1/30, 1/42, ...), from the
+    k-th tangent number: B_k = 2k T_k / (4^k (4^k - 1))."""
     if k < 1:
         raise ValueError(f"bernoulli numbers are indexed from 1, got {k}")
-    qk = q_series(k).coefficient(k)
-    b = qk * (-1) ** (k - 1) * Fraction(math.factorial(2 * k), 2 ** (2 * k))
+    b = Fraction(2 * k * _tangent_number(k), 4**k * (4**k - 1))
     if b <= 0:
-        raise InternalInvariantError(f"extracted Bernoulli number B_{k} = {b} is not positive")
+        raise InternalInvariantError(f"Bernoulli number B_{k} = {b} is not positive")
     return b
+
+
+@lru_cache(maxsize=None)
+def q_series(order: int) -> PowerSeries:
+    """The signature series Q(z) = sqrt(z)/tanh(sqrt(z)) = 1 + z/3 - z^2/45 + ...,
+    from the closed form q_k = (-1)^(k-1) 2^(2k)/(2k)! * B_k of its coefficients."""
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    q = [Fraction((-4) ** k, -math.factorial(2 * k)) * bernoulli(k) for k in range(1, order + 1)]
+    return PowerSeries([1, *q], order=order)
 
 
 def s_series(order: int) -> PowerSeries:

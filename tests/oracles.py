@@ -8,13 +8,14 @@ runs the recursive doubling formula on such tuples instead of the
 compiled structure-constant kernel, the random samplers build one
 `Fraction` per draw and project on such tuples, the alternativity probe
 takes one `associator` per triple instead of the structure table and
-shared products, Bernoulli numbers come from the classical
-recurrence, the L-polynomial oracle expands prod Q(b_i z) in root
-variables and reduces it to the elementary basis by leading-term
-elimination instead of running the multiplicative sequence, the Newton
-polynomials are checked against power sums of the roots by substituting
-elementary symmetric polynomials, and the two Nijenhuis oracles
-evaluate the brackets of whole ambient vector fields instead of the
+shared products, Bernoulli numbers come from the classical recurrence and
+from the reciprocal of the series tanh(w)/w instead of tangent numbers,
+the L-polynomial oracle expands prod Q(b_i z), with Q from that
+reciprocal, in root variables and reduces it to the elementary basis by
+leading-term elimination instead of running the multiplicative sequence,
+the Newton polynomials are checked against power sums of the roots by
+substituting elementary symmetric polynomials, and the two Nijenhuis
+oracles evaluate the brackets of whole ambient vector fields instead of the
 closed form of their 1-jets: one differentiates them by exact finite
 differences (central differences with Richardson extrapolation are exact
 for polynomial maps of degree <= 4 at rational step sizes), the other
@@ -23,11 +24,11 @@ symbolically as polynomial vector fields.
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, factorial
 from typing import Mapping, Optional
 
 from acstk.cayley_dickson import AlternativityReport, CDElement, associator, basis_product, random_element
-from acstk.genera import q_series
+from acstk.genera import PowerSeries, exp_series, sinh_series
 from acstk.sphere_acs import cross
 from acstk.symfun import GradedPoly
 
@@ -199,6 +200,35 @@ def positive_bernoulli_oracle(k: int) -> Fraction:
     return abs(classical_bernoulli(2 * k)[2 * k])
 
 
+# The third Bernoulli route: the signature series Q(z) = sqrt(z)/tanh(sqrt(z))
+# as the reciprocal of tanh(w)/w with z = w^2, by power-series division.
+
+
+def cosh_series(order: int) -> PowerSeries:
+    e = exp_series(order)
+    return (e + e.scale_argument(-1)) * Fraction(1, 2)
+
+
+def tanh_over_w_in_z(order: int) -> PowerSeries:
+    """tanh(w)/w as a series in z = w^2, exact to the requested order."""
+    w_order = 2 * order + 1
+    t = sinh_series(w_order).shift_down() / cosh_series(w_order)
+    return t.truncate(2 * order).in_square_variable()
+
+
+def reciprocal_q_series(order: int) -> PowerSeries:
+    """Q(z) = 1/(tanh(w)/w) with z = w^2, with an internal order buffer."""
+    buffered = order + 1
+    return (PowerSeries.one(buffered) / tanh_over_w_in_z(buffered)).truncate(order)
+
+
+def reciprocal_bernoulli_oracle(k: int) -> Fraction:
+    """The k-th positive Bernoulli number read off the reciprocal Q-series
+    via q_k = (-1)^(k-1) 2^(2k)/(2k)! * B_k."""
+    qk = reciprocal_q_series(k).coefficient(k)
+    return qk * (-1) ** (k - 1) * Fraction(factorial(2 * k), 2 ** (2 * k))
+
+
 # ----------------------------------------------------------------------
 # Root variables and symmetric functions.  A polynomial in root variables
 # is a GradedPoly whose weights are all 1.
@@ -361,7 +391,7 @@ def l_polynomial_in_roots(k: int, m: int) -> GradedPoly:
     """L_k by root expansion: the coefficient of z^k in prod_i Q(b_i z)
     over m >= k root variables, reduced to the elementary basis s1..sm,
     which must leave s_{k+1}..s_m unused, and read in p1..pk."""
-    q = q_series(k)
+    q = reciprocal_q_series(k)
     variables = beta_variables(m)
     coeffs = [unit_constant(variables, 1)] + [unit_poly(variables) for _ in range(k)]
     for name in variables:

@@ -1,4 +1,5 @@
-"""Timings of the doubling-algebra kernels, with pytest-benchmark.
+"""Timings of the doubling-algebra kernels and of the Bernoulli numbers,
+with pytest-benchmark.
 
 The default test run does not collect this file (its name does not start
 with ``test_``); name it to run it:
@@ -11,14 +12,20 @@ random point and tangent on S^6, the Nijenhuis tensor on S^6, and the
 sedenion alternativity probe with 60 random samples, as the
 sphere-algebra benchmark workload runs it.  The sampler rows draw from
 one `random.Random` that advances between calls, as
-`verify_j_structure`'s loop does.
+`verify_j_structure`'s loop does.  The two genus rows time B_1..B_100 in
+ascending order, as `acstk bernoulli --k 100` asks for them, and
+q_series(300), as `acstk series q --order 300` does; both start cold, with
+every Bernoulli cache and the tangent-number table emptied before each
+round.
 """
 
 import random
 
 import pytest
 
+from acstk import genera
 from acstk.cayley_dickson import associator, probe_alternative, random_element
+from acstk.genera import bernoulli, q_series
 from acstk.sphere_acs import cross, nijenhuis, random_sphere_point, random_tangent
 
 
@@ -61,3 +68,18 @@ def test_nijenhuis_s6(benchmark):
 
 def test_probe_alternative_sedenions(benchmark):
     benchmark(probe_alternative, 4, samples=60)
+
+
+def _cold_genera():
+    for cached in (bernoulli, q_series):
+        cached.cache_clear()
+    genera._TANGENT.clear()
+    genera._TANGENT_COLUMN.clear()
+
+
+def test_bernoulli_1_to_100_cold(benchmark):
+    benchmark.pedantic(lambda: [bernoulli(k) for k in range(1, 101)], setup=_cold_genera, rounds=10)
+
+
+def test_q_series_300_cold(benchmark):
+    benchmark.pedantic(q_series, args=(300,), setup=_cold_genera, rounds=10)

@@ -13,6 +13,7 @@ from acstk.cayley_dickson import (
     AlternativityReport,
     CDElement,
     _kernel,
+    _random_pairs,
     associator,
     basis_product,
     embed,
@@ -84,6 +85,29 @@ def test_associator_matches_its_definition():
             u, v, w = (random_element(level, rng) for _ in range(3))
             assert associator(u, v, w) == (u * v) * w - u * (v * w)
             assert associator(u, u, w) == (u * u) * w - u * (u * w)
+
+
+@pytest.mark.parametrize(
+    "max_num, max_den",
+    [(9, 9), (6, 4), (3, 16), (0, 1)],
+    ids=["sphere-samplers", "random_element", "power-of-two-widths", "width-one"],
+)
+def test_random_pairs_match_randint(max_num, max_den):
+    # getrandbits with randint's rejection rule: the same values from the same
+    # draws, so the generator's state after the call is the same too
+    for seed in range(40):
+        rng, ref = random.Random(seed), random.Random(seed)
+        pairs = _random_pairs(rng, 33, max_num, max_den)
+        assert pairs == [(ref.randint(-max_num, max_num), ref.randint(1, max_den)) for _ in range(33)]
+        assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("max_num, max_den", [(-1, 4), (6, 0)])
+def test_random_pairs_refuse_empty_ranges(max_num, max_den):
+    with pytest.raises(ValueError, match="empty range"):
+        _random_pairs(random.Random(0), 1, max_num, max_den)
+    with pytest.raises(ValueError, match="empty range"):
+        random_element(2, random.Random(0), max_num=max_num, max_den=max_den)
 
 
 def test_random_element_matches_fraction_oracle():

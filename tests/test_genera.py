@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,17 +13,23 @@ from acstk.genera import (
     PowerSeries,
     bernoulli,
     chern_character,
-    cosh_series,
     exp_series,
     l_polynomial,
     q_series,
     s_coefficient,
     s_series,
     sinh_series,
-    tanh_over_w_in_z,
 )
 from acstk.symfun import GradedPoly, newton_polynomial
-from oracles import l_polynomial_in_roots, positive_bernoulli_oracle, substitute
+from oracles import (
+    cosh_series,
+    l_polynomial_in_roots,
+    positive_bernoulli_oracle,
+    reciprocal_bernoulli_oracle,
+    reciprocal_q_series,
+    substitute,
+    tanh_over_w_in_z,
+)
 
 
 def series(*coeffs):
@@ -74,6 +84,7 @@ def test_sqrt_substitution_device():
 
 
 def test_tanh_over_w():
+    # the reciprocal-series oracle's building block
     t = tanh_over_w_in_z(4)
     assert t.coefficient(0) == 1
     assert t.coefficient(1) == Fraction(-1, 3)
@@ -89,9 +100,64 @@ def test_bernoulli_against_recurrence_oracle():
     for k, value in enumerate(expected, start=1):
         assert bernoulli(k) == value
         assert bernoulli(k) == positive_bernoulli_oracle(k)
+        assert reciprocal_bernoulli_oracle(k) == value
     assert bernoulli(8) == positive_bernoulli_oracle(8)
     with pytest.raises(ValueError):
         bernoulli(0)
+
+
+def test_tangent_numbers():
+    # tan x = x + 2 x^3/3! + 16 x^5/5! + 272 x^7/7! + ...
+    assert [genera._tangent_number(k) for k in range(1, 7)] == [1, 2, 16, 272, 7936, 353792]
+
+
+def _primes_upto(n):
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p in range(n + 1) if sieve[p]]
+
+
+def test_bernoulli_von_staudt_clausen():
+    # B_{2k} + sum_{(p - 1) | 2k} 1/p is an integer, with B_{2k} = (-1)^(k+1) B_k
+    # here: this pins every denominator without any series route
+    primes = _primes_upto(2 * 300 + 1)
+    for k in range(1, 301):
+        value = (-1) ** (k + 1) * bernoulli(k) + sum(Fraction(1, p) for p in primes if (2 * k) % (p - 1) == 0)
+        assert value.denominator == 1, k
+
+
+@pytest.fixture
+def cold_bernoulli():
+    def clear():
+        for cached in (bernoulli, q_series, s_coefficient, l_polynomial):
+            cached.cache_clear()
+        genera._TANGENT.clear()
+        genera._TANGENT_COLUMN.clear()
+
+    clear()
+    yield
+    clear()
+
+
+def test_tangent_table_regrows_on_demand(cold_bernoulli):
+    assert bernoulli(50) == positive_bernoulli_oracle(50)
+    assert len(genera._TANGENT) == 50
+    assert bernoulli(3) == Fraction(1, 42)
+    assert len(genera._TANGENT) == 50
+    # growing again starts from the kept last column
+    assert bernoulli(80) == positive_bernoulli_oracle(80)
+    assert len(genera._TANGENT) == len(genera._TANGENT_COLUMN) == 80
+
+
+def test_import_builds_no_tangent_table():
+    probe = "import acstk.cli, acstk.genera as g; print(len(g._TANGENT), len(g._TANGENT_COLUMN))"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 0\n"
 
 
 def test_q_series_coefficients():
@@ -104,12 +170,20 @@ def test_q_series_coefficients():
 
 def test_q_series_two_route_agreement():
     # q_k = (-1)^(k-1) 2^(2k)/(2k)! B_k, with B_k from the recurrence oracle:
-    # bernoulli() is read off q_series, so it cannot be the second route
+    # q_series is built from bernoulli() by this closed form, so the second
+    # route must take B_k from elsewhere
     closed = [Fraction(1)] + [
         (-1) ** (k - 1) * Fraction(2 ** (2 * k), math.factorial(2 * k)) * positive_bernoulli_oracle(k)
         for k in range(1, 9)
     ]
     assert q_series(8) == PowerSeries(closed)
+
+
+def test_q_series_matches_reciprocal_series_oracle():
+    assert q_series(60) == reciprocal_q_series(60)
+    assert q_series(0) == PowerSeries.one(0)
+    with pytest.raises(ValueError, match="non-negative"):
+        q_series(-1)
 
 
 def test_l_polynomial_golden_values():

@@ -31,6 +31,8 @@ REMOVED = [
     "PowerSeries.compose",
     "PowerSeries.identity",
     "CDElement.from_coeffs",
+    "tanh_over_w_in_z",
+    "cosh_series",
 ]
 
 
