@@ -33,11 +33,11 @@ from .sphere_acs import (
 #: with the number of partitions of k.
 LPOLY_MAX_K = 20
 
-#: Largest `series --order`; q_series(300) takes about a tenth of a second.
+#: Largest `series --order`; q_series(300) takes well under a second.
 SERIES_MAX_ORDER = 300
 
-#: Largest `bernoulli --k`.  B_1..B_500 take well under a second, but this
-#: cap also sets CLASSIFY_MAX_N, and the Chern check is far too slow at 2,000.
+#: Largest `bernoulli --k`.  B_1..B_500 take well under a second, but this cap
+#: also sets CLASSIFY_MAX_N, and one Chern check at n = 1998 takes seconds.
 BERNOULLI_MAX_K = 100
 
 #: Largest `classify` dimension, and largest `--range` end.  The signature

@@ -111,19 +111,10 @@ def test_tangent_numbers():
     assert [genera._tangent_number(k) for k in range(1, 7)] == [1, 2, 16, 272, 7936, 353792]
 
 
-def _primes_upto(n):
-    sieve = bytearray([1]) * (n + 1)
-    sieve[:2] = b"\0\0"
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
-    return [p for p in range(n + 1) if sieve[p]]
-
-
 def test_bernoulli_von_staudt_clausen():
     # B_{2k} + sum_{(p - 1) | 2k} 1/p is an integer, with B_{2k} = (-1)^(k+1) B_k
     # here: this pins every denominator without any series route
-    primes = _primes_upto(2 * 300 + 1)
+    primes = [p for p in range(2, 602) if all(p % d for d in range(2, math.isqrt(p) + 1))]
     for k in range(1, 301):
         value = (-1) ** (k + 1) * bernoulli(k) + sum(Fraction(1, p) for p in primes if (2 * k) % (p - 1) == 0)
         assert value.denominator == 1, k
