@@ -6,13 +6,13 @@ Run: python demos/03_l_polynomials_and_bernoulli.py
 
 from acstk import bernoulli, l_polynomial, q_series, s_coefficient, s_series
 
-print("== Q(z) = sqrt(z)/tanh(sqrt(z)), computed by exact series division ==")
+print("== Q(z) = sqrt(z)/tanh(sqrt(z)), from q_k = (-1)^(k-1) 2^(2k) B_k/(2k)! ==")
 q = q_series(6)
 for k in range(7):
     print(f"  [z^{k}] Q = {q.coefficient(k)}")
 
 print()
-print("== positive Bernoulli numbers extracted from Q ==")
+print("== positive Bernoulli numbers B_k = 2k T_k/(4^k (4^k - 1)), from tangent numbers T_k ==")
 for k in range(1, 9):
     print(f"  B_{k} = {bernoulli(k)}")
 

@@ -16,7 +16,6 @@ which the explicit cross-product structure is verified by sampling.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from typing import Optional
@@ -68,6 +67,8 @@ class SphereVerdict(Record):
         }
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.as_dict(), indent=2, sort_keys=True)
 
 

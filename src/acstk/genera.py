@@ -6,8 +6,8 @@ The Bernoulli numbers come from Brent and Harvey's integer triangle of
 tangent numbers (arXiv:1108.0286), the Q-series from them in closed form.  The
 L-polynomials are Hirzebruch's multiplicative sequence of Q, built
 directly in the Pontryagin classes p_1..p_k from log Q and the Newton
-polynomials, and each one is checked against the signature theorem on
-CP^{2k}.
+polynomials, one weight at a time on integer numerators, and each one is
+checked against the signature theorem on CP^{2k}.
 
 Bernoulli indexing note: throughout this module B_k means the k-th member
 of the classical *positive* sequence B_1 = 1/6, B_2 = 1/30, B_3 = 1/42,
@@ -22,10 +22,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import lshift
 from typing import Sequence
 
 from .errors import InternalInvariantError
-from .symfun import GradedPoly, Rational, _frac, _join_signed, power_sums_from_values
+from .symfun import GradedPoly, Rational, _frac, _join_signed, newton_polynomial, power_sums_from_values
 
 
 class PowerSeries:
@@ -287,44 +288,65 @@ def s_coefficient(k: int) -> Fraction:
 # L-polynomials
 
 
+def _numerators(poly: GradedPoly, shifts: range) -> tuple[dict, int]:
+    """The terms of `poly` as integer numerators over their least common
+    denominator, each exponent tuple packed into one int key: exponent i
+    goes in the bit field that starts at shifts[i]."""
+    den = math.lcm(*(c.denominator for c in poly.terms.values()))
+    return {
+        sum(map(lshift, exps, shifts)): c.numerator * (den // c.denominator)
+        for exps, c in poly.terms.items()
+    }, den
+
+
 @lru_cache(maxsize=None)
 def l_polynomial(k: int) -> GradedPoly:
     """The k-th L-polynomial in p_1..p_k (weights 1..k):
     L_1 = p1/3, L_2 = (7 p2 - p1^2)/45, ...
 
     Hirzebruch's multiplicative sequence of Q: with log Q(z) = sum a_j z^j
-    and the Newton polynomials nu_j(p), L_k is the weight-k part of
-    exp(sum_j a_j nu_j), built by the recursion
-    E_n = (1/n) sum_{j<=n} j a_j nu_j E_{n-j}.  Checked against the
-    signature theorem on CP^{2k}: with p_j = C(2k+1, j) the value of L_k
-    must be sigma(CP^{2k}) = 1.
+    and the Newton polynomials nu_j(p), the weight-n part E_n = L_n of
+    exp(sum_j a_j nu_j) obeys E_n = (1/n) sum_{j<=n} j a_j nu_j E_{n-j},
+    E_0 = 1, so the step to weight k takes L_1..L_(k-1) from this cache.
+    The step runs on integers: every factor is a dict of integer numerators
+    over one denominator, and each monomial is one int key holding its
+    exponents in fields of k.bit_length() bits, so a product of monomials
+    is a sum of keys (no exponent exceeds k, so no field carries).  Checked
+    against the signature theorem on CP^{2k}: with p_j = C(2k+1, j) the
+    value of L_k must be sigma(CP^{2k}) = 1.
     """
     if k < 1:
         raise ValueError(f"L-polynomials are indexed from 1, got {k}")
-    gens = tuple(f"p{i}" for i in range(1, k + 1))
-    weights = tuple(range(1, k + 1))
-    zero = GradedPoly.zero(gens, weights)
-    p = [GradedPoly.generator(gens, weights, g) for g in gens]
-    nus = power_sums_from_values(p, k, zero)
     q = q_series(k).coeffs
     # ja[j] = j * a_j from j a_j = j q_j - sum_{i<j} i a_i q_{j-i}
     ja = [Fraction(0)]
     for j in range(1, k + 1):
         ja.append(j * q[j] - sum(ja[i] * q[j - i] for i in range(1, j)))
-    ja_nus = [nu * c for nu, c in zip(nus, ja[1:])]
-    e = [GradedPoly.constant(gens, weights, 1)]
-    for n in range(1, k + 1):
-        acc = zero
-        for j in range(1, n + 1):
-            acc = acc + ja_nus[j - 1] * e[n - j]
-        e.append(acc * Fraction(1, n))
-    lk = e[k]
-    signature = lk.evaluate([math.comb(2 * k + 1, j) for j in weights])
+    width = k.bit_length()
+    shifts = range(0, width * k, width)
+    # (j a_j, nu_j, E_{k-j} and its denominator) for j = 1..k; nu_j is integral
+    parts = []
+    for j in range(1, k + 1):
+        prev = _numerators(l_polynomial(k - j), shifts) if j < k else ({0: 1}, 1)
+        parts.append((ja[j], _numerators(newton_polynomial(j), shifts)[0], *prev))
+    den = k * math.lcm(*(c.denominator * prev_den for c, _, _, prev_den in parts))
+    acc: dict = {}
+    for c, nu, prev, prev_den in parts:
+        scale = c.numerator * den // (k * c.denominator * prev_den)
+        for k1, c1 in nu.items():
+            c1 *= scale
+            for k2, c2 in prev.items():
+                acc[k1 + k2] = acc.get(k1 + k2, 0) + c1 * c2
+    mask = (1 << width) - 1
+    terms = {tuple((key >> s) & mask for s in shifts): c for key, c in acc.items() if c}
+    values = [math.comb(2 * k + 1, j) for j in range(1, k + 1)]
+    signature = Fraction(sum(c * math.prod(map(pow, values, exps)) for exps, c in terms.items()), den)
     if signature != 1:
         raise InternalInvariantError(
             f"L_{k} gives signature {signature} on CP^{2 * k}, expected 1"
         )
-    return lk
+    gens = tuple(f"p{i}" for i in range(1, k + 1))
+    return GradedPoly(gens, range(1, k + 1), {exps: Fraction(c, den) for exps, c in terms.items()})
 
 
 # ----------------------------------------------------------------------

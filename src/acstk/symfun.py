@@ -1,13 +1,16 @@
-"""Sparse graded polynomials over Q and the Newton recursion.
+"""Sparse graded polynomials over Q, the Newton recursion and the Newton
+polynomials.
 
 One polynomial type lives here.  `GradedPoly` maps exponent tuples to
 rational coefficients over distinct named generators, each with a
 positive integer weight (for example p_i of weight i), so homogeneous
-parts are exact.  The L-polynomials and the Chern character are built in
-it, both from :func:`power_sums_from_values`, the Newton recursion that
-turns the elementary symmetric functions s_1, s_2, ... of some roots into
-their power sums nu_1, nu_2, ... .  Root-variable polynomials are the
-graded polynomials whose weights are all 1; the symmetric-function
+parts are exact.  :func:`power_sums_from_values` is the Newton recursion
+that turns values of the elementary symmetric functions s_1, s_2, ... of
+some roots into their power sums nu_1, nu_2, ...; the Chern character is
+built from it.  The Newton polynomials nu_k(s_1, ..., s_k) themselves
+come in closed form from the Girard-Waring formula, and the
+L-polynomials are built from their integer coefficients.  Root-variable polynomials are
+the graded polynomials whose weights are all 1; the symmetric-function
 helpers that build them are test oracles and live under `tests/`.
 """
 
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, prod
 from operator import add
 from typing import Mapping, Optional, Sequence, Union
 
@@ -291,7 +295,7 @@ def _join_signed(parts: list[str]) -> str:
 
 
 # ----------------------------------------------------------------------
-# the Newton recursion
+# the Newton recursion and the Newton polynomials
 
 
 def power_sums_from_values(values: Sequence, k_max: int, zero):
@@ -319,13 +323,30 @@ def power_sums_from_values(values: Sequence, k_max: int, zero):
     return nus
 
 
+def _partitions(n: int, largest: int):
+    """Every partition of n into parts of size at most `largest`, as the
+    list of multiplicities r_1..r_largest of the part sizes 1..largest."""
+    if largest == 1:
+        yield [n]
+        return
+    for m in range(n // largest + 1):
+        for rest in _partitions(n - m * largest, largest - 1):
+            yield rest + [m]
+
+
 @lru_cache(maxsize=None)
 def newton_polynomial(k: int) -> GradedPoly:
     """The k-th Newton polynomial nu_k as a graded polynomial in s1..sk,
-    s_j of weight j: the Newton recursion run on the generators."""
+    s_j of weight j, by the Girard-Waring formula: over the partitions of
+    k, the monomial prod s_i^(r_i), with l = sum r_i, has the integer
+    coefficient (-1)^(k+l) k (l-1)! / prod r_i!.  The Newton recursion run
+    on the generators gives the same polynomial."""
     if k < 1:
         raise ValueError(f"newton polynomials are indexed from 1, got {k}")
+    terms = {}
+    for r in _partitions(k, k):
+        l = sum(r)
+        c = k * factorial(l - 1) // prod(map(factorial, r))
+        terms[tuple(r)] = c if (k + l) % 2 == 0 else -c
     gens = tuple(f"s{i}" for i in range(1, k + 1))
-    weights = tuple(range(1, k + 1))
-    sigma = [GradedPoly.generator(gens, weights, g) for g in gens]
-    return power_sums_from_values(sigma, k, GradedPoly.zero(gens, weights))[-1]
+    return GradedPoly(gens, range(1, k + 1), terms)

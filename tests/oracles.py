@@ -13,8 +13,12 @@ from the reciprocal of the series tanh(w)/w instead of tangent numbers,
 the L-polynomial oracle expands prod Q(b_i z), with Q from that
 reciprocal, in root variables and reduces it to the elementary basis by
 leading-term elimination instead of running the multiplicative sequence,
-the Newton polynomials are checked against power sums of the roots by
-substituting elementary symmetric polynomials, and the two Nijenhuis
+a second L-polynomial oracle runs the multiplicative sequence on
+`GradedPoly` values with `Fraction` coefficients and Newton polynomials
+from the Newton recursion instead of on integer numerators with packed
+monomials and the Girard-Waring closed form, the Newton polynomials are
+checked against power sums of the roots by substituting elementary
+symmetric polynomials, and the two Nijenhuis
 oracles evaluate the brackets of whole ambient vector fields instead of the
 closed form of their 1-jets: one differentiates them by exact finite
 differences (central differences with Richardson extrapolation are exact
@@ -28,9 +32,9 @@ from math import comb, factorial
 from typing import Mapping, Optional
 
 from acstk.cayley_dickson import AlternativityReport, CDElement, associator, basis_product, random_element
-from acstk.genera import PowerSeries, exp_series, sinh_series
+from acstk.genera import PowerSeries, exp_series, q_series, sinh_series
 from acstk.sphere_acs import cross
-from acstk.symfun import GradedPoly
+from acstk.symfun import GradedPoly, power_sums_from_values
 
 # Hardcoded quaternion multiplication table with i = e1, j = e2, k = e3:
 # i*j = k, j*k = i, k*i = j, squares of imaginary units are -1.
@@ -414,6 +418,33 @@ def l_polynomial_in_roots(k: int, m: int) -> GradedPoly:
             raise ValueError(f"L_{k} in roots uses a generator beyond s{k}: {exps}")
         terms[exps[:k]] = c
     return GradedPoly(tuple(f"p{i}" for i in range(1, k + 1)), tuple(range(1, k + 1)), terms)
+
+
+def l_polynomial_graded_oracle(k: int) -> GradedPoly:
+    """L_k by the multiplicative-sequence recursion
+    E_n = (1/n) sum_{j<=n} j a_j nu_j E_{n-j} on `GradedPoly` values, with
+    nu_j from the Newton recursion on the generators p1..pk and
+    `Fraction` coefficients throughout, checked on CP^{2k}."""
+    gens = tuple(f"p{i}" for i in range(1, k + 1))
+    weights = tuple(range(1, k + 1))
+    zero = GradedPoly.zero(gens, weights)
+    p = [GradedPoly.generator(gens, weights, g) for g in gens]
+    nus = power_sums_from_values(p, k, zero)
+    q = q_series(k).coeffs
+    # ja[j] = j * a_j from j a_j = j q_j - sum_{i<j} i a_i q_{j-i}
+    ja = [Fraction(0)]
+    for j in range(1, k + 1):
+        ja.append(j * q[j] - sum(ja[i] * q[j - i] for i in range(1, j)))
+    ja_nus = [nu * c for nu, c in zip(nus, ja[1:])]
+    e = [GradedPoly.constant(gens, weights, 1)]
+    for n in range(1, k + 1):
+        acc = zero
+        for j in range(1, n + 1):
+            acc = acc + ja_nus[j - 1] * e[n - j]
+        e.append(acc * Fraction(1, n))
+    lk = e[k]
+    assert lk.evaluate([comb(2 * k + 1, j) for j in weights]) == 1
+    return lk
 
 
 # ----------------------------------------------------------------------

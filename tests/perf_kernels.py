@@ -12,11 +12,13 @@ random point and tangent on S^6, the Nijenhuis tensor on S^6, and the
 sedenion alternativity probe with 60 random samples, as the
 sphere-algebra benchmark workload runs it.  The sampler rows draw from
 one `random.Random` that advances between calls, as
-`verify_j_structure`'s loop does.  The two genus rows time B_1..B_100 in
-ascending order, as `acstk bernoulli --k 100` asks for them, and
-q_series(300), as `acstk series q --order 300` does; both start cold, with
-every Bernoulli cache and the tangent-number table emptied before each
-round.
+`verify_j_structure`'s loop does.  The genus rows time B_1..B_100 in
+ascending order, as `acstk bernoulli --k 100` asks for them,
+q_series(300), as `acstk series q --order 300` does, and L_1..L_7 and
+L_1..L_20 in ascending order, as `acstk lpoly --k 7` and `--k 20` do.
+Every genus row starts cold: the `l_polynomial`, `newton_polynomial`,
+`q_series` and `bernoulli` caches and the tangent-number table are emptied
+before each round.
 """
 
 import random
@@ -25,8 +27,9 @@ import pytest
 
 from acstk import genera
 from acstk.cayley_dickson import associator, probe_alternative, random_element
-from acstk.genera import bernoulli, q_series
+from acstk.genera import bernoulli, l_polynomial, q_series
 from acstk.sphere_acs import cross, nijenhuis, random_sphere_point, random_tangent
+from acstk.symfun import newton_polynomial
 
 
 @pytest.mark.parametrize("level", [2, 3, 4])
@@ -71,7 +74,7 @@ def test_probe_alternative_sedenions(benchmark):
 
 
 def _cold_genera():
-    for cached in (bernoulli, q_series):
+    for cached in (bernoulli, q_series, l_polynomial, newton_polynomial):
         cached.cache_clear()
     genera._TANGENT.clear()
     genera._TANGENT_COLUMN.clear()
@@ -83,3 +86,8 @@ def test_bernoulli_1_to_100_cold(benchmark):
 
 def test_q_series_300_cold(benchmark):
     benchmark.pedantic(q_series, args=(300,), setup=_cold_genera, rounds=10)
+
+
+@pytest.mark.parametrize("k_max, rounds", [(7, 20), (20, 5)])
+def test_l_polynomials_cold(benchmark, k_max, rounds):
+    benchmark.pedantic(lambda: [l_polynomial(k) for k in range(1, k_max + 1)], setup=_cold_genera, rounds=rounds)

@@ -344,3 +344,25 @@ def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
     added = set(proc.stdout.split())
     assert "acstk.cli" in added
     assert not added & {"dataclasses", "inspect"}
+
+
+def test_cli_import_loads_every_layer_but_not_json():
+    """`json` is imported only where JSON is printed, while `import
+    acstk.cli` still loads every layer module, whose import times the
+    benchmark reads per module.  As above, only modules the import adds
+    count for `json`."""
+    layers = ["cayley_dickson", "sphere_acs", "symfun", "genera", "char_class", "classify", "cli"]
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import acstk.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "json" not in added
+    assert {f"acstk.{name}" for name in layers} <= added

@@ -23,6 +23,7 @@ from acstk.genera import (
 from acstk.symfun import GradedPoly, newton_polynomial
 from oracles import (
     cosh_series,
+    l_polynomial_graded_oracle,
     l_polynomial_in_roots,
     positive_bernoulli_oracle,
     reciprocal_bernoulli_oracle,
@@ -206,6 +207,12 @@ def test_l_polynomial_stability_in_extra_roots():
 def test_l_polynomial_matches_root_expansion_oracle():
     for k in range(1, 7):
         assert l_polynomial(k) == l_polynomial_in_roots(k, k)
+
+
+@pytest.mark.parametrize("k", [*range(1, 11), 16])
+def test_l_polynomial_matches_graded_oracle(k):
+    # k = 16 is the first k whose p1^16 needs a 5-bit exponent field in a packed key
+    assert l_polynomial(k) == l_polynomial_graded_oracle(k)
 
 
 def test_l_polynomial_signature_of_complex_projective_space():

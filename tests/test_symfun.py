@@ -1,5 +1,10 @@
+import os
 import random
+import shutil
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +75,48 @@ def test_newton_polynomial_small_cases():
     assert newton_polynomial(3) == t1**3 - 3 * t1 * t2 + 3 * t3
     with pytest.raises(ValueError):
         newton_polynomial(0)
+
+
+def test_newton_polynomial_matches_newton_recursion():
+    # the recursion on the generators is the oracle for the Girard-Waring form
+    for k in range(1, 15):
+        gens, weights = sigma_generators(k)
+        sigma = [GradedPoly.generator(gens, weights, g) for g in gens]
+        recursion = power_sums_from_values(sigma, k, GradedPoly.zero(gens, weights))[-1]
+        assert newton_polynomial(k) == recursion, k
+
+
+def test_girard_waring_sign_mutant_is_caught(tmp_path):
+    # In a copy of the package whose nu_10 has the sign of s1*s2*s3*s4
+    # flipped, the two oracle comparisons must fail, and only where nu_10
+    # enters: nu_10 itself, L_10 and L_16.
+    root = Path(__file__).resolve().parent.parent
+    skip = shutil.ignore_patterns("__pycache__")
+    shutil.copytree(root / "src", tmp_path / "src", ignore=skip)
+    shutil.copytree(root / "tests", tmp_path / "tests", ignore=skip)
+    shutil.copy(root / "pyproject.toml", tmp_path)
+    symfun = tmp_path / "src" / "acstk" / "symfun.py"
+    line = "        terms[tuple(r)] = c if (k + l) % 2 == 0 else -c\n"
+    text = symfun.read_text()
+    assert text.count(line) == 1
+    mutant = line + "        if r == [1, 1, 1, 1] + [0] * 6:\n            terms[tuple(r)] = -terms[tuple(r)]\n"
+    symfun.write_text(text.replace(line, mutant))
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
+            "tests/test_symfun.py::test_newton_polynomial_matches_newton_recursion",
+            "tests/test_genera.py::test_l_polynomial_matches_graded_oracle",
+        ],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    failed = sorted(row.split()[1] for row in proc.stdout.splitlines() if row.startswith("FAILED "))
+    assert failed == [
+        "tests/test_genera.py::test_l_polynomial_matches_graded_oracle[10]",
+        "tests/test_genera.py::test_l_polynomial_matches_graded_oracle[16]",
+        "tests/test_symfun.py::test_newton_polynomial_matches_newton_recursion",
+    ], proc.stdout + proc.stderr
+    assert "3 failed, 9 passed" in proc.stdout
 
 
 def test_newton_polynomials_are_homogeneous():
