@@ -43,7 +43,7 @@ from .sphere_acs import (
 )
 from .symfun import GradedPoly, newton_polynomial
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = [
     "CDElement",

@@ -1,5 +1,5 @@
-"""Truncated formal power series over Q, Bernoulli numbers, the signature
-Q-series, L-polynomials, their leading coefficients s_k, and the Chern
+"""Bernoulli numbers, the coefficients of the signature Q-series and of the
+s_k series, L-polynomials, their leading coefficients s_k, and the Chern
 character.
 
 The Bernoulli numbers come from Brent and Harvey's integer triangle of
@@ -12,9 +12,6 @@ checked against the signature theorem on CP^{2k}.
 Bernoulli indexing note: throughout this module B_k means the k-th member
 of the classical *positive* sequence B_1 = 1/6, B_2 = 1/30, B_3 = 1/42,
 ..., i.e. B_k here equals |B_{2k}| in the modern even-index convention.
-All square roots of the formal variable are handled by working with even
-series in an auxiliary variable w and substituting z = w^2; no fractional
-exponent ever materializes.
 """
 
 from __future__ import annotations
@@ -30,11 +27,9 @@ from .symfun import GradedPoly, Rational, _frac, _join_signed, newton_polynomial
 
 
 class PowerSeries:
-    """A univariate formal power series truncated at a fixed order.
-
-    `coeffs[k]` is the coefficient of z^k for k = 0..order; arithmetic
-    never consults anything beyond the stored window and the result of a
-    binary operation carries the smaller of the two orders.
+    """The coefficients of a univariate formal power series up to a fixed
+    order: `coeffs[k]` is the coefficient of z^k for k = 0..order, and
+    nothing beyond that window is known.
     """
 
     __slots__ = ("order", "coeffs")
@@ -52,117 +47,12 @@ class PowerSeries:
         self.order = order
         self.coeffs = tuple(coeffs)
 
-    @classmethod
-    def zero(cls, order: int) -> "PowerSeries":
-        return cls([0], order=order)
-
-    @classmethod
-    def one(cls, order: int) -> "PowerSeries":
-        return cls([1], order=order)
-
     def coefficient(self, k: int) -> Fraction:
         if k < 0:
             raise ValueError(f"coefficient index must be non-negative, got {k}")
         if k > self.order:
             raise ValueError(f"coefficient {k} beyond truncation order {self.order}")
         return self.coeffs[k]
-
-    def truncate(self, order: int) -> "PowerSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return PowerSeries(self.coeffs[: order + 1], order=order)
-
-    # ------------------------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PowerSeries([other], order=self.order)
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return PowerSeries(
-            [a + b for a, b in zip(self.coeffs, other.coeffs)], order=n
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PowerSeries([other], order=self.order)
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return PowerSeries(
-            [a - b for a, b in zip(self.coeffs, other.coeffs)], order=n
-        )
-
-    def __neg__(self):
-        return PowerSeries([-c for c in self.coeffs], order=self.order)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = _frac(other)
-            return PowerSeries([c * q for c in self.coeffs], order=self.order)
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a == 0:
-                continue
-            for j in range(0, n - i + 1):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return PowerSeries(out, order=n)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = _frac(other)
-            return PowerSeries([c / q for c in self.coeffs], order=self.order)
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        if other.coeffs[0] == 0:
-            raise ValueError("cannot divide by a series with constant term 0")
-        n = min(self.order, other.order)
-        b0 = other.coeffs[0]
-        out = [Fraction(0)] * (n + 1)
-        for k in range(n + 1):
-            acc = self.coeffs[k]
-            for i in range(1, k + 1):
-                if other.coeffs[i]:
-                    acc -= other.coeffs[i] * out[k - i]
-            out[k] = acc / b0
-        return PowerSeries(out, order=n)
-
-    def scale_argument(self, c: Rational) -> "PowerSeries":
-        """z -> c*z, i.e. multiply the k-th coefficient by c^k."""
-        q = _frac(c)
-        return PowerSeries(
-            [a * q**k for k, a in enumerate(self.coeffs)], order=self.order
-        )
-
-    def shift_down(self) -> "PowerSeries":
-        """Divide by z; requires a zero constant term."""
-        if self.coeffs[0] != 0:
-            raise ValueError("cannot divide by z: constant term is nonzero")
-        return PowerSeries(self.coeffs[1:], order=self.order - 1)
-
-    def in_square_variable(self) -> "PowerSeries":
-        """Reinterpret an even series in w as a series in z = w^2."""
-        for k in range(1, self.order + 1, 2):
-            if self.coeffs[k] != 0:
-                raise ValueError(
-                    f"series is not even: w^{k} has coefficient {self.coeffs[k]}"
-                )
-        return PowerSeries(self.coeffs[::2], order=self.order // 2)
-
-    # ------------------------------------------------------------------
 
     def __eq__(self, other):
         return (
@@ -196,16 +86,7 @@ class PowerSeries:
 
 
 # ----------------------------------------------------------------------
-# elementary series, Bernoulli numbers and the Q-series
-
-
-def exp_series(order: int) -> PowerSeries:
-    return PowerSeries([Fraction(1, math.factorial(k)) for k in range(order + 1)], order=order)
-
-
-def sinh_series(order: int) -> PowerSeries:
-    e = exp_series(order)
-    return (e - e.scale_argument(-1)) * Fraction(1, 2)
+# Bernoulli numbers, the Q-series and the s-series
 
 
 _TANGENT: list[int] = []  # T_1..T_n so far, built on first use, never at import
@@ -256,15 +137,17 @@ def s_series(order: int) -> PowerSeries:
     branch of sqrt(z) ambiguous; the real-sinh reading would flip every
     odd coefficient's sign.  The branch is fixed to the one matching the
     closed form (all s_k > 0), i.e. sinh(2*sqrt(z))/(2*sqrt(z)) is read
-    as the series sum_k (-4)^k z^k / (2k+1)!  (equivalently 2t/sin(2t)
-    with z = t^2).
+    as the series d(z) = sum_k (-4)^k z^k / (2k+1)!  (equivalently
+    sin(2t)/(2t) with z = t^2).  1/d comes from the reciprocal recursion
+    g_n = -sum_{k=1..n} d_k g_(n-k), g_0 = 1 (d_0 = 1), without Bernoulli
+    numbers, so it is an independent route to s_k.
     """
-    w_order = 2 * order + 1
-    sinh_over_w = sinh_series(w_order).shift_down()  # sinh(w)/w, even in w
-    denom_in_z = sinh_over_w.truncate(2 * order).scale_argument(2).in_square_variable()
-    denom = denom_in_z.scale_argument(-1)  # fix the branch: z -> -z
-    g = PowerSeries.one(order) / denom
-    return (g + 1) * Fraction(1, 2)
+    d = [Fraction((-4) ** k, math.factorial(2 * k + 1)) for k in range(order + 1)]
+    g = [Fraction(1)]
+    for n in range(1, order + 1):
+        g.append(-sum(d[k] * g[n - k] for k in range(1, n + 1)))
+    # s_0 = (1 + g_0)/2 = 1; a negative order is refused by PowerSeries
+    return PowerSeries([1, *(c / 2 for c in g[1:])], order=order)
 
 
 @lru_cache(maxsize=None)

@@ -9,10 +9,11 @@ compiled structure-constant kernel, the random samplers build one
 `Fraction` per draw and project on such tuples, the alternativity probe
 takes one `associator` per triple instead of the structure table and
 shared products, Bernoulli numbers come from the classical recurrence and
-from the reciprocal of the series tanh(w)/w instead of tangent numbers,
-the L-polynomial oracle expands prod Q(b_i z), with Q from that
-reciprocal, in root variables and reduces it to the elementary basis by
-leading-term elimination instead of running the multiplicative sequence,
+from Q(z) = w/tanh(w) (z = w^2), one quotient of the coefficient lists of
+cosh(w) and sinh(w)/w, instead of tangent numbers, the L-polynomial
+oracle expands prod Q(b_i z), with Q from that quotient, in root
+variables and reduces it to the elementary basis by leading-term
+elimination instead of running the multiplicative sequence,
 a second L-polynomial oracle runs the multiplicative sequence on
 `GradedPoly` values with `Fraction` coefficients and Newton polynomials
 from the Newton recursion instead of on integer numerators with packed
@@ -32,7 +33,7 @@ from math import comb, factorial
 from typing import Mapping, Optional
 
 from acstk.cayley_dickson import AlternativityReport, CDElement, associator, basis_product, random_element
-from acstk.genera import PowerSeries, exp_series, q_series, sinh_series
+from acstk.genera import PowerSeries, q_series
 from acstk.sphere_acs import cross
 from acstk.symfun import GradedPoly, power_sums_from_values
 
@@ -205,25 +206,18 @@ def positive_bernoulli_oracle(k: int) -> Fraction:
 
 
 # The third Bernoulli route: the signature series Q(z) = sqrt(z)/tanh(sqrt(z))
-# as the reciprocal of tanh(w)/w with z = w^2, by power-series division.
-
-
-def cosh_series(order: int) -> PowerSeries:
-    e = exp_series(order)
-    return (e + e.scale_argument(-1)) * Fraction(1, 2)
-
-
-def tanh_over_w_in_z(order: int) -> PowerSeries:
-    """tanh(w)/w as a series in z = w^2, exact to the requested order."""
-    w_order = 2 * order + 1
-    t = sinh_series(w_order).shift_down() / cosh_series(w_order)
-    return t.truncate(2 * order).in_square_variable()
+# = cosh(w) / (sinh(w)/w) with z = w^2, as one quotient of coefficient lists.
 
 
 def reciprocal_q_series(order: int) -> PowerSeries:
-    """Q(z) = 1/(tanh(w)/w) with z = w^2, with an internal order buffer."""
-    buffered = order + 1
-    return (PowerSeries.one(buffered) / tanh_over_w_in_z(buffered)).truncate(order)
+    """Q(z) = sum z^k/(2k)! divided by sum z^k/(2k+1)!, by long division:
+    q_n = a_n - sum_{k=1..n} b_k q_(n-k), with b_0 = 1."""
+    a = [Fraction(1, factorial(2 * k)) for k in range(order + 1)]
+    b = [Fraction(1, factorial(2 * k + 1)) for k in range(order + 1)]
+    q: list[Fraction] = []
+    for n in range(order + 1):
+        q.append(a[n] - sum(b[k] * q[n - k] for k in range(1, n + 1)))
+    return PowerSeries(q, order=order)
 
 
 def reciprocal_bernoulli_oracle(k: int) -> Fraction:

@@ -14,8 +14,9 @@ sphere-algebra benchmark workload runs it.  The sampler rows draw from
 one `random.Random` that advances between calls, as
 `verify_j_structure`'s loop does.  The genus rows time B_1..B_100 in
 ascending order, as `acstk bernoulli --k 100` asks for them,
-q_series(300), as `acstk series q --order 300` does, and L_1..L_7 and
-L_1..L_20 in ascending order, as `acstk lpoly --k 7` and `--k 20` do.
+q_series(300), as `acstk series q --order 300` does, s_series(100), the
+generating series of the s_k, and L_1..L_7 and L_1..L_20 in ascending
+order, as `acstk lpoly --k 7` and `--k 20` do.
 Every genus row starts cold: the `l_polynomial`, `newton_polynomial`,
 `q_series` and `bernoulli` caches and the tangent-number table are emptied
 before each round.
@@ -27,7 +28,7 @@ import pytest
 
 from acstk import genera
 from acstk.cayley_dickson import associator, probe_alternative, random_element
-from acstk.genera import bernoulli, l_polynomial, q_series
+from acstk.genera import bernoulli, l_polynomial, q_series, s_series
 from acstk.sphere_acs import cross, nijenhuis, random_sphere_point, random_tangent
 from acstk.symfun import newton_polynomial
 
@@ -86,6 +87,10 @@ def test_bernoulli_1_to_100_cold(benchmark):
 
 def test_q_series_300_cold(benchmark):
     benchmark.pedantic(q_series, args=(300,), setup=_cold_genera, rounds=10)
+
+
+def test_s_series_100_cold(benchmark):
+    benchmark.pedantic(s_series, args=(100,), setup=_cold_genera, rounds=10)
 
 
 @pytest.mark.parametrize("k_max, rounds", [(7, 20), (20, 5)])

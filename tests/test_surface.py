@@ -33,6 +33,19 @@ REMOVED = [
     "CDElement.from_coeffs",
     "tanh_over_w_in_z",
     "cosh_series",
+    "exp_series",
+    "sinh_series",
+    "PowerSeries.zero",
+    "PowerSeries.one",
+    "PowerSeries.truncate",
+    "PowerSeries.scale_argument",
+    "PowerSeries.shift_down",
+    "PowerSeries.in_square_variable",
+    "PowerSeries.__add__",
+    "PowerSeries.__sub__",
+    "PowerSeries.__neg__",
+    "PowerSeries.__mul__",
+    "PowerSeries.__truediv__",
 ]
 
 
