@@ -367,13 +367,18 @@ def _random_pairs(rng: random.Random, count: int, max_num: int, max_den: int) ->
     width n (getrandbits(n.bit_length()), redrawn while >= n): same values, same state."""
     if max_num < 0 or max_den < 1:
         raise ValueError(f"empty range: max_num = {max_num}, max_den = {max_den}")
-    bits, draws = rng.getrandbits, []
-    for n in (2 * max_num + 1, max_den) * count:
-        r = bits(k := n.bit_length())
-        while r >= n:
-            r = bits(k)
-        draws.append(r)
-    return [(a - max_num, b + 1) for a, b in zip(draws[::2], draws[1::2])]
+    bits, width = rng.getrandbits, 2 * max_num + 1
+    kn, kd = width.bit_length(), max_den.bit_length()
+    pairs = []
+    for _ in range(count):
+        a = bits(kn)
+        while a >= width:
+            a = bits(kn)
+        b = bits(kd)
+        while b >= max_den:
+            b = bits(kd)
+        pairs.append((a - max_num, b + 1))
+    return pairs
 
 
 class AlternativityReport(Record):
@@ -413,12 +418,16 @@ def probe_alternative(level: int, samples: int = 200, seed: int = 0) -> Alternat
     [e_i, e_j, e_k] != -[e_j, e_i, e_k] (which yield a repeated-argument
     witness u = e_i + e_j), and random repeated-argument triples.  Any
     witness is re-verified with generic coefficient arithmetic before it
-    is reported.
+    is reported.  A negative level or sample count raises `ValueError`.
     """
+    if level < 0:
+        raise ValueError(f"probe level must be nonnegative, got {level}")
     if level > PROBE_LEVEL_CAP:
         raise ValueError(
             f"probe level {level} exceeds the cost cap {PROBE_LEVEL_CAP}"
         )
+    if samples < 0:
+        raise ValueError(f"probe samples must be nonnegative, got {samples}")
     dim = 1 << level
     basis_checks = 0
     witness = None

@@ -9,8 +9,13 @@ u x v = (uv - vu)/2 = Im(uv) is the commutator cross product of
 imaginary elements.  Sphere points are produced by inverse stereographic
 projection on integers: parameters q_i = N_i/D with S = sum N_i^2 give
 (2 N_1 D, ..., 2 N_d D, S - D^2)/(S + D^2), so every coordinate is an
-exact rational.  The random samplers, tangent projection and the cross
-product work on numerators too, and reduce once.
+exact rational.  The samplers, the tangent projection and the cross
+product run on one private layer of integer pairs (numerators,
+denominator), which the public functions reduce once into a `CDElement`.
+`verify_j_structure` and `nijenhuis` run their loops on that layer
+directly, so the public functions, the J check and the tensor share one
+draw stream and one cross product; the J check builds elements only for
+its reported example.
 
 The Nijenhuis tensor
 
@@ -30,7 +35,7 @@ p x (u x v).  Hence the closed form
 
     N(u, v) = (p x u) x v - (p x v) x u - 2 p x (u x v),
 
-six exact cross products.
+six exact cross products, which all land over the denominator Dp Du Dv.
 No normalizing factor (such as 1/4) is applied; conventions only matter
 up to nonzero scale here and this one is fixed so frozen values stay
 stable.
@@ -57,6 +62,58 @@ def _level_for(sphere_dim: int) -> int:
     return SPHERE_LEVEL[sphere_dim]
 
 
+# The integer layer: a vector is a pair (numerators, denominator > 0), not
+# necessarily in lowest terms.
+
+
+def _cross(level: int, a, b) -> tuple[list[int], int]:
+    """a x b for imaginary pairs a and b: the level's product of the
+    numerators with its real part set to 0, over the product of the
+    denominators, unreduced."""
+    num = _kernel(level)(a[0], b[0])
+    num[0] = 0
+    return num, a[1] * b[1]
+
+
+def _stereographic(pairs) -> tuple[list[int], int]:
+    """The inverse stereographic image of the parameters q_i = pairs[i][0] /
+    pairs[i][1]: over their common denominator D, q_i = N_i/D, and with
+    S = sum N_i^2 the point is (2 N_1 D, ..., 2 N_d D, S - D^2)/(S + D^2)."""
+    nums, d = _over_common_denominator(pairs)
+    s, d2 = sum(map(mul, nums, nums)), d * d
+    return [0, *(2 * d * n for n in nums), s - d2], s + d2
+
+
+def _project(p, w) -> tuple[list[int], int]:
+    """w - <w, p> p for a unit pair p: (W Dp^2 - (W.P) P) / (Dw Dp^2) for
+    w = W/Dw and p = P/Dp."""
+    (pnum, pden), (wnum, wden) = p, w
+    dp2, wp = pden * pden, sum(map(mul, wnum, pnum))
+    return [x * dp2 - wp * y for x, y in zip(wnum, pnum)], wden * dp2
+
+
+def _draw_point(sphere_dim: int, rng: random.Random) -> tuple[list[int], int]:
+    """The stereographic image of `sphere_dim` random parameters."""
+    return _stereographic(_random_pairs(rng, sphere_dim, 9, 9))
+
+
+def _draw_tangent(level: int, p, rng: random.Random) -> tuple[list[int], int]:
+    """The tangent projection at the pair p of a random imaginary vector."""
+    num, den = _over_common_denominator(_random_pairs(rng, (1 << level) - 1, 9, 9))
+    return _project(p, ([0, *num], den))
+
+
+def _check_unit(p) -> None:
+    num, den = p
+    if (norm := sum(map(mul, num, num))) != den * den:
+        raise ValueError(f"sphere points must have unit norm, got |p|^2 = {Fraction(norm, den * den)}")
+
+
+def _check_orthogonal(v, p) -> None:
+    if dot := sum(map(mul, v[0], p[0])):
+        raise ValueError(f"tangent vector is not orthogonal to its base point: <v, p> = {Fraction(dot, v[1] * p[1])}")
+
+
 class SpherePoint(Record):
     """A point of S^2 or S^6: an imaginary element of exact unit norm."""
 
@@ -69,11 +126,7 @@ class SpherePoint(Record):
             )
         if not self.vector.is_imaginary():
             raise ValueError("sphere points must be imaginary")
-        num, den = self.vector.num, self.vector.den
-        if sum(map(mul, num, num)) != den * den:
-            raise ValueError(
-                f"sphere points must have unit norm, got |p|^2 = {self.vector.norm_sq()}"
-            )
+        _check_unit((self.vector.num, self.vector.den))
 
     @property
     def sphere_dim(self) -> int:
@@ -97,11 +150,7 @@ class TangentVector(Record):
             )
         if not self.vector.is_imaginary():
             raise ValueError("tangent vectors must be imaginary")
-        if sum(map(mul, self.vector.num, self.base.vector.num)):
-            raise ValueError(
-                "tangent vector is not orthogonal to its base point: "
-                f"<v, p> = {self.vector.inner(self.base.vector)}"
-            )
+        _check_orthogonal((self.vector.num, self.vector.den), (self.base.vector.num, self.base.vector.den))
 
     def scale(self, q) -> "TangentVector":
         return TangentVector(self.base, self.vector * q)
@@ -121,9 +170,7 @@ def cross(u: CDElement, v: CDElement) -> CDElement:
     for name, x in (("first", u), ("second", v)):
         if not x.is_imaginary():
             raise ValueError(f"cross product needs imaginary inputs; {name} has real part {x.real_part()}")
-    num = _kernel(u.level)(u.num, v.num)
-    num[0] = 0
-    return CDElement._reduced(u.level, num, u.den * v.den)
+    return CDElement._reduced(u.level, *_cross(u.level, (u.num, u.den), (v.num, v.den)))
 
 
 def j_apply(t: TangentVector) -> TangentVector:
@@ -144,17 +191,7 @@ def rational_sphere_point(sphere_dim: int, params: Sequence) -> SpherePoint:
         raise ValueError(
             f"S^{sphere_dim} needs {sphere_dim} stereographic parameters, got {len(qs)}"
         )
-    return _stereographic(level, [_frac(q).as_integer_ratio() for q in qs])
-
-
-def _stereographic(level: int, pairs) -> SpherePoint:
-    """The inverse stereographic image of the parameters q_i = pairs[i][0] /
-    pairs[i][1]: over their common denominator D, q_i = N_i/D, and with
-    S = sum N_i^2 the point is (2 N_1 D, ..., 2 N_d D, S - D^2)/(S + D^2)."""
-    nums, d = _over_common_denominator(pairs)
-    s, d2 = sum(map(mul, nums, nums)), d * d
-    coords = [0, *(2 * d * n for n in nums), s - d2]
-    return SpherePoint(CDElement._reduced(level, coords, s + d2))
+    return SpherePoint(CDElement._reduced(level, *_stereographic([_frac(q).as_integer_ratio() for q in qs])))
 
 
 def tangent_projection(p: SpherePoint, w: CDElement) -> TangentVector:
@@ -166,23 +203,18 @@ def tangent_projection(p: SpherePoint, w: CDElement) -> TangentVector:
         )
     if not w.is_imaginary():
         raise ValueError(f"tangent projection needs an imaginary vector, got real part {w.real_part()}")
-    # (W Dp^2 - (W.P) P) / (Dw Dp^2) for w = W/Dw, p = P/Dp
-    pnum, pden = p.vector.num, p.vector.den
-    dp2, wp = pden * pden, sum(map(mul, w.num, pnum))
-    coords = [x * dp2 - wp * y for x, y in zip(w.num, pnum)]
-    return TangentVector(p, CDElement._reduced(w.level, coords, w.den * dp2))
+    return TangentVector(p, CDElement._reduced(w.level, *_project((p.vector.num, p.vector.den), (w.num, w.den))))
 
 
 def random_sphere_point(sphere_dim: int, rng: random.Random) -> SpherePoint:
     """The stereographic image of `sphere_dim` random parameters."""
-    return _stereographic(_level_for(sphere_dim), _random_pairs(rng, sphere_dim, 9, 9))
+    return SpherePoint(CDElement._reduced(_level_for(sphere_dim), *_draw_point(sphere_dim, rng)))
 
 
 def random_tangent(p: SpherePoint, rng: random.Random) -> TangentVector:
     """The tangent projection at p of a random imaginary vector."""
     level = p.vector.level
-    num, den = _over_common_denominator(_random_pairs(rng, (1 << level) - 1, 9, 9))
-    return tangent_projection(p, CDElement._reduced(level, [0, *num], den))
+    return TangentVector(p, CDElement._reduced(level, *_draw_tangent(level, (p.vector.num, p.vector.den), rng)))
 
 
 def nijenhuis(p: SpherePoint, u: TangentVector, v: TangentVector) -> CDElement:
@@ -190,11 +222,19 @@ def nijenhuis(p: SpherePoint, u: TangentVector, v: TangentVector) -> CDElement:
     (p x u) x v - (p x v) x u - 2 p x (u x v) of its 1-jet brackets (see
     the module docstring for the derivation and sign conventions).  The
     result is an imaginary element, exactly tangent at p; it vanishes
-    identically on S^2 and is nonzero for generic inputs on S^6."""
+    identically on S^2 and is nonzero for generic inputs on S^6.  All six
+    cross products run on numerators, and each of the three terms lands
+    over the same denominator Dp Du Dv, so the result is reduced once."""
     if u.base != p or v.base != p:
         raise ValueError("nijenhuis arguments must be tangent at the given point")
-    pv, a, b = p.vector, u.vector, v.vector
-    return cross(cross(pv, a), b) - cross(cross(pv, b), a) - cross(pv, cross(a, b)) * 2
+    level = p.vector.level
+    pv, a, b = ((x.num, x.den) for x in (p.vector, u.vector, v.vector))
+    (first, den), (second, _), (third, _) = (
+        _cross(level, _cross(level, pv, a), b),
+        _cross(level, _cross(level, pv, b), a),
+        _cross(level, pv, _cross(level, a, b)),
+    )
+    return CDElement._reduced(level, [x - y - 2 * z for x, y, z in zip(first, second, third)], den)
 
 
 class AssociatorComparison(Record):
@@ -276,26 +316,32 @@ def verify_j_structure(sphere_dim: int, samples: int, seed: int = 0) -> JVerific
     """Check J^2 v = -v, tangency of Jv and |Jv|^2 = |v|^2 exactly on
     `samples` random stereographic points with random rational tangents.
     At least one sample is required, so a report never passes vacuously.
-    The laws are checked on the numerators of the raw products p x v and
-    p x (p x v), not through `TangentVector` (which rejects a non-tangent
-    image), so each flag can read false."""
-    _level_for(sphere_dim)
+    Each sample runs on numerator pairs: the draws of `random_sphere_point`
+    and `random_tangent`, the unit-norm and orthogonality checks of
+    `SpherePoint` and `TangentVector` (a failure raises), and the two raw
+    products p x v and p x (p x v), compared with v by cross-multiplication
+    instead of through `TangentVector` (which rejects a non-tangent image),
+    so each flag can read false.  Only the reported example, the first
+    sample, becomes a `CDElement`."""
+    level = _level_for(sphere_dim)
     if samples < 1:
         raise ValueError(f"need at least 1 sample, got {samples}")
     rng = random.Random(seed)
     squared = tangent = normed = True
     example = None
     for _ in range(samples):
-        p = random_sphere_point(sphere_dim, rng)
-        v = random_tangent(p, rng).vector
-        jv = cross(p.vector, v)
-        jjv = cross(p.vector, jv)
-        # on numerators: jjv and -v are both in lowest terms
-        squared &= jjv.den == v.den and jjv.num == tuple(-x for x in v.num)
-        tangent &= not sum(map(mul, jv.num, p.vector.num))
-        normed &= sum(map(mul, jv.num, jv.num)) * v.den ** 2 == sum(map(mul, v.num, v.num)) * jv.den ** 2
+        p = _draw_point(sphere_dim, rng)
+        _check_unit(p)
+        v = _draw_tangent(level, p, rng)
+        _check_orthogonal(v, p)
+        (pnum, _), (vnum, vden) = p, v
+        jnum, jden = jv = _cross(level, p, v)
+        jjnum, jjden = _cross(level, p, jv)
+        squared &= [x * vden for x in jjnum] == [-x * jjden for x in vnum]
+        tangent &= not sum(map(mul, jnum, pnum))
+        normed &= sum(map(mul, jnum, jnum)) * vden * vden == sum(map(mul, vnum, vnum)) * jden * jden
         if example is None:
-            example = (p.vector, v)
+            example = (CDElement._reduced(level, *p), CDElement._reduced(level, *v))
     return JVerificationReport(
         sphere_dim,
         samples,

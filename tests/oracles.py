@@ -19,7 +19,9 @@ a second L-polynomial oracle runs the multiplicative sequence on
 from the Newton recursion instead of on integer numerators with packed
 monomials and the Girard-Waring closed form, the Newton polynomials are
 checked against power sums of the roots by substituting elementary
-symmetric polynomials, and the two Nijenhuis
+symmetric polynomials, one Nijenhuis oracle runs the closed form through
+six reduced public cross products instead of numerator products over one
+shared denominator, and two Nijenhuis
 oracles evaluate the brackets of whole ambient vector fields instead of the
 closed form of their 1-jets: one differentiates them by exact finite
 differences (central differences with Richardson extrapolation are exact
@@ -439,6 +441,18 @@ def l_polynomial_graded_oracle(k: int) -> GradedPoly:
     lk = e[k]
     assert lk.evaluate([comb(2 * k + 1, j) for j in weights]) == 1
     return lk
+
+
+# ----------------------------------------------------------------------
+# Nijenhuis tensor in its closed form through six public cross products
+
+
+def nijenhuis_closed_form(p, u, v) -> CDElement:
+    """(p x u) x v - (p x v) x u - 2 p x (u x v) with each cross product a
+    reduced `CDElement` from the public `cross`, instead of six unreduced
+    numerator products over one shared denominator."""
+    pv, a, b = p.vector, u.vector, v.vector
+    return cross(cross(pv, a), b) - cross(cross(pv, b), a) - cross(pv, cross(a, b)) * 2
 
 
 # ----------------------------------------------------------------------

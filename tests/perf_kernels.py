@@ -8,9 +8,10 @@ with ``test_``); name it to run it:
 
 Each benchmark times one call on fixed seeded inputs: the product at
 levels 2 to 4, the cross product on Im O, the sedenion associator, a
-random point and tangent on S^6, the Nijenhuis tensor on S^6, and the
-sedenion alternativity probe with 60 random samples, as the
-sphere-algebra benchmark workload runs it.  The sampler rows draw from
+random point and tangent on S^6, the Nijenhuis tensor on S^6, the
+sampled J check with 250 samples on S^6 and on S^2, and the sedenion
+alternativity probe with 60 random samples, as the sphere-algebra
+benchmark workload runs them.  The sampler rows draw from
 one `random.Random` that advances between calls, as
 `verify_j_structure`'s loop does.  The genus rows time B_1..B_100 in
 ascending order, as `acstk bernoulli --k 100` asks for them,
@@ -29,7 +30,7 @@ import pytest
 from acstk import genera
 from acstk.cayley_dickson import associator, probe_alternative, random_element
 from acstk.genera import bernoulli, l_polynomial, q_series, s_series
-from acstk.sphere_acs import cross, nijenhuis, random_sphere_point, random_tangent
+from acstk.sphere_acs import cross, nijenhuis, random_sphere_point, random_tangent, verify_j_structure
 from acstk.symfun import newton_polynomial
 
 
@@ -68,6 +69,11 @@ def test_nijenhuis_s6(benchmark):
     p = random_sphere_point(6, rng)
     u, v = random_tangent(p, rng), random_tangent(p, rng)
     benchmark(nijenhuis, p, u, v)
+
+
+@pytest.mark.parametrize("sphere_dim", [6, 2])
+def test_verify_j_structure_250(benchmark, sphere_dim):
+    benchmark(verify_j_structure, sphere_dim, 250)
 
 
 def test_probe_alternative_sedenions(benchmark):

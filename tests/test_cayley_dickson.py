@@ -357,6 +357,17 @@ def test_probe_cost_guard():
         probe_alternative(6)
 
 
+def test_probe_refuses_a_negative_level():
+    with pytest.raises(ValueError, match="probe level must be nonnegative, got -1"):
+        probe_alternative(-1)
+
+
+def test_probe_refuses_negative_samples():
+    # a negative count used to run no random triple and report random_checks: 0
+    with pytest.raises(ValueError, match="probe samples must be nonnegative, got -3"):
+        probe_alternative(4, samples=-3)
+
+
 def test_embed():
     a = CDElement(2, (1, 2, 3, 4))
     b = embed(a, 3)

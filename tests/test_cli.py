@@ -317,9 +317,14 @@ def test_internal_invariant_violation_exits_3(capsys, monkeypatch):
 def test_broken_cross_reads_false_and_exits_3(capsys, monkeypatch):
     import acstk.sphere_acs as sphere_mod
 
-    real_cross = sphere_mod.cross
-    # p x v + p leaves the tangent space at p
-    monkeypatch.setattr(sphere_mod, "cross", lambda u, v: real_cross(u, v) + u)
+    real_cross = sphere_mod._cross
+
+    def along_p(level, a, b):
+        # p x v + p leaves the tangent space at p
+        num, den = real_cross(level, a, b)
+        return [x * a[1] + y * den for x, y in zip(num, a[0])], den * a[1]
+
+    monkeypatch.setattr(sphere_mod, "_cross", along_p)
     code, out, err = run(capsys, "verify-j", "--sphere", "6", "--samples", "3", "--json")
     assert code == 3 and "internal invariant violation" in err
     data = json.loads(out)

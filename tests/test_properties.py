@@ -31,6 +31,7 @@ from oracles import (
     coeff_scale,
     coeff_sub,
     doubling_product,
+    nijenhuis_closed_form,
     nijenhuis_fd,
     nijenhuis_symbolic,
 )
@@ -154,6 +155,7 @@ def test_nijenhuis_is_antisymmetric_and_tangent(frame):
 def test_nijenhuis_matches_both_oracles(sphere_dim, data):
     frame = data.draw(frames(sphere_dim))
     value = nijenhuis(*frame)
+    assert value == nijenhuis_closed_form(*frame)
     assert value == nijenhuis_fd(*frame)
     assert value == nijenhuis_symbolic(*frame)
     if sphere_dim == 2:

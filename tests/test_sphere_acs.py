@@ -175,27 +175,91 @@ def test_verify_j_structure_report():
     assert "example_point" in data
 
 
+# Mutants of the numerator cross product `sphere_acs._cross(level, a, b)`,
+# which takes imaginary pairs a = (A, Da), b = (B, Db) and returns the
+# numerators and denominator of a x b; `real` is the unpatched one.
+
+
+def _doubled(real, level, a, b):
+    num, den = real(level, a, b)
+    return [2 * x for x in num], den
+
+
+def _shrunk(real, level, a, b):
+    num, den = real(level, a, b)
+    return num, 101 * den
+
+
+def _along_p(real, level, a, b):
+    num, den = real(level, a, b)
+    return [x * a[1] + y * den for x, y in zip(num, a[0])], den * a[1]
+
+
+def _defining_formula(real, level, a, b):
+    u, v = (CDElement(level, [Fraction(x, d) for x in num]) for num, d in (a, b))
+    w = (u * v - v * u) * Fraction(1, 2)
+    return list(w.num), w.den
+
+
 @pytest.mark.parametrize(
     "mutant, flags",
     [
         # 2(p x v): tangent, but J^2 v = -4v and |Jv|^2 = 4|v|^2
-        (lambda real, u, v: real(u, v) * 2, (False, True, False)),
-        # (p x v)/101: J^2 v = -v/101^2 keeps the numerators of -v (no
-        # sampled v has all of them divisible by 101); only its denominator is off
-        (lambda real, u, v: real(u, v) * Fraction(1, 101), (False, True, False)),
+        (_doubled, (False, True, False)),
+        # (p x v)/101: tangent, but J^2 v = -v/101^2 and |Jv|^2 = |v|^2/101^2
+        (_shrunk, (False, True, False)),
         # p x v + p: <Jv, p> = 1, |Jv|^2 = |v|^2 + 1 and J^2 v = -v + p
-        (lambda real, u, v: real(u, v) + u, (False, False, False)),
+        (_along_p, (False, False, False)),
         # the defining formula (uv - vu)/2 through the generic product
-        (lambda real, u, v: (u * v - v * u) * Fraction(1, 2), (True, True, True)),
+        (_defining_formula, (True, True, True)),
     ],
     ids=["doubled", "shrunk", "along-p", "defining-formula"],
 )
 def test_verify_j_structure_flags_follow_the_cross_product(monkeypatch, mutant, flags):
-    real = sphere_acs.cross
-    monkeypatch.setattr(sphere_acs, "cross", lambda u, v: mutant(real, u, v))
+    real = sphere_acs._cross
+    monkeypatch.setattr(sphere_acs, "_cross", lambda level, a, b: mutant(real, level, a, b))
     for sphere_dim in (2, 6):
         report = verify_j_structure(sphere_dim, samples=20, seed=3)
         assert (report.j_squared_negates, report.image_tangent, report.norm_preserved) == flags
+
+
+def test_verify_j_structure_checks_every_draw(monkeypatch):
+    # the sample loop runs the unit-norm and orthogonality checks of
+    # SpherePoint and TangentVector on every drawn pair, and raises
+    real_point, real_tangent = sphere_acs._draw_point, sphere_acs._draw_tangent
+    calls = []
+
+    def off_sphere(sphere_dim, rng):
+        calls.append(None)
+        num, den = real_point(sphere_dim, rng)
+        return num, den if len(calls) < 3 else 2 * den
+
+    monkeypatch.setattr(sphere_acs, "_draw_point", off_sphere)
+    with pytest.raises(ValueError, match="unit norm"):
+        verify_j_structure(6, samples=5)
+    assert len(calls) == 3
+
+    def along_p(level, p, rng):
+        num, den = real_tangent(level, p, rng)
+        return [x + y * den for x, y in zip(num, p[0])], den
+
+    monkeypatch.setattr(sphere_acs, "_draw_point", real_point)
+    monkeypatch.setattr(sphere_acs, "_draw_tangent", along_p)
+    with pytest.raises(ValueError, match="not orthogonal"):
+        verify_j_structure(2, samples=5)
+
+
+@pytest.mark.parametrize("sphere_dim", [2, 6])
+def test_verify_j_structure_example_is_the_first_public_draw(sphere_dim):
+    # the loop draws on numerator pairs; its example must be what the public
+    # samplers return as their first draws from the same seed
+    for seed in (0, 1, 3, 42, 2**40 + 7):
+        rng = random.Random(seed)
+        p = random_sphere_point(sphere_dim, rng)
+        t = random_tangent(p, rng)
+        for samples in (1, 5):
+            report = verify_j_structure(sphere_dim, samples, seed)
+            assert (report.example_point, report.example_tangent) == (p.vector, t.vector)
 
 
 def test_lie_bracket_of_coordinate_fields():
