@@ -44,7 +44,7 @@ BERNOULLI_MAX_K = 100
 CLASSIFY_MAX_N = 4 * BERNOULLI_MAX_K
 
 #: Largest `--samples` of `verify-j` and `classify`; 100000 samples on S^6
-#: take about half a minute.
+#: take about 5 s.
 SAMPLES_MAX = 100_000
 
 #: Most digits in one parsed rational (exponent digits included), and the
