@@ -203,24 +203,13 @@ def _cmd_classify(args) -> int:
         payload = [v.as_dict() for v in verdicts]
         _print_json(payload[0] if args.range_ is None else payload)
         return 0
+    witness = {reason: text for reason, _, _, text in classify_mod.ROUTES}
     for v in verdicts:
         if v.status == classify_mod.STATUS_EXISTS:
             print(f"S^{v.n}: exists ({v.reason})")
         else:
-            witness = _verdict_witness(v)
-            print(f"S^{v.n}: ruled out ({v.reason}{witness})")
+            print(f"S^{v.n}: ruled out ({v.reason}{witness[v.reason](v.certificate)})")
     return 0
-
-
-def _verdict_witness(v) -> str:
-    cert = v.certificate
-    if v.reason == classify_mod.REASON_PONTRYAGIN_EULER:
-        w1 = cert["pontryagin_euler"]["witness"]
-        w2 = cert["signature"]["witness"]
-        return f", pairing {w1}, forced signature {w2}"
-    if v.reason == classify_mod.REASON_CHERN_DIVISIBILITY:
-        return f", {cert['integrality_requires']} fails"
-    return ""
 
 
 def _cmd_lpoly(args) -> int:

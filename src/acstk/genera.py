@@ -229,7 +229,10 @@ def l_polynomial(k: int) -> GradedPoly:
             f"L_{k} gives signature {signature} on CP^{2 * k}, expected 1"
         )
     gens = tuple(f"p{i}" for i in range(1, k + 1))
-    return GradedPoly(gens, range(1, k + 1), {exps: Fraction(c, den) for exps, c in terms.items()})
+    # the terms are valid already, so they skip the constructor's checks
+    return GradedPoly.zero(gens, range(1, k + 1))._like(
+        {exps: Fraction(c, den) for exps, c in terms.items()}
+    )
 
 
 # ----------------------------------------------------------------------

@@ -346,7 +346,8 @@ def newton_polynomial(k: int) -> GradedPoly:
     terms = {}
     for r in _partitions(k, k):
         l = sum(r)
-        c = k * factorial(l - 1) // prod(map(factorial, r))
+        c = Fraction(k * factorial(l - 1) // prod(map(factorial, r)))
         terms[tuple(r)] = c if (k + l) % 2 == 0 else -c
+    # the terms are valid already, so they skip the constructor's checks
     gens = tuple(f"s{i}" for i in range(1, k + 1))
-    return GradedPoly(gens, range(1, k + 1), terms)
+    return GradedPoly.zero(gens, range(1, k + 1))._like(terms)

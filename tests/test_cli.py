@@ -286,6 +286,10 @@ def test_argparse_rejects_unknown_sphere(capsys):
             ),
             "09f2656a86148738139f599418354fe81d41b9f81e0e4709d0b0b64b5e887309",
         ),
+        (
+            ("classify", "--range", "1..200"),
+            "64d072d946e6c7d4a0a8f43dbf269adc9ca1df00322b818876b1c88ea49fcb0f",
+        ),
     ],
 )
 def test_stdout_snapshot(capsys, monkeypatch, argv, digest):

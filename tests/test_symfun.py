@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from acstk.genera import l_polynomial
 from acstk.symfun import GradedPoly, newton_polynomial, power_sums_from_values
 from oracles import (
     beta_variables,
@@ -117,6 +118,15 @@ def test_girard_waring_sign_mutant_is_caught(tmp_path):
         "tests/test_symfun.py::test_newton_polynomial_matches_newton_recursion",
     ], proc.stdout + proc.stderr
     assert "3 failed, 9 passed" in proc.stdout
+
+
+def test_newton_and_l_polynomials_hold_nonzero_fractions():
+    # both skip the constructor's checks, so their terms must be valid as built
+    for k in range(1, 11):
+        for poly in (newton_polynomial(k), l_polynomial(k)):
+            assert poly.weights == tuple(range(1, k + 1))
+            assert all(type(e) is tuple and len(e) == k for e in poly.terms)
+            assert all(type(c) is Fraction and c != 0 for c in poly.terms.values())
 
 
 def test_newton_polynomials_are_homogeneous():
