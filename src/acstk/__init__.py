@@ -9,70 +9,50 @@ Nijenhuis tensor, symmetric-function and power-series kernels, Bernoulli
 numbers and L-polynomials, characteristic-class identities on spheres and
 the Chern-character divisibility bound.  Everything is computed over
 exact rationals; no floating point appears anywhere.
-"""
 
-from .cayley_dickson import (
-    CDElement,
-    associator,
-    basis_product,
-    embed,
-    probe_alternative,
-)
-from .char_class import SphereCohomologyClass, replay_lemma_pontryagin_euler
-from .classify import SphereVerdict, classify_range, classify_sphere
-from .errors import InternalInvariantError
-from .genera import (
-    PowerSeries,
-    bernoulli,
-    chern_character,
-    l_polynomial,
-    q_series,
-    s_coefficient,
-    s_series,
-)
-from .sphere_acs import (
-    SpherePoint,
-    TangentVector,
-    compare_nijenhuis_associator,
-    cross,
-    j_apply,
-    nijenhuis,
-    rational_sphere_point,
-    tangent_projection,
-    verify_j_structure,
-)
-from .symfun import GradedPoly, newton_polynomial
+`import acstk` runs no layer module: each exported name imports the
+module that defines it on first use (PEP 562), so a program that needs
+one layer pays only for that layer.
+"""
 
 __version__ = "0.7.0"
 
-__all__ = [
-    "CDElement",
-    "GradedPoly",
-    "InternalInvariantError",
-    "PowerSeries",
-    "SphereCohomologyClass",
-    "SpherePoint",
-    "SphereVerdict",
-    "TangentVector",
-    "associator",
-    "basis_product",
-    "bernoulli",
-    "chern_character",
-    "classify_range",
-    "classify_sphere",
-    "compare_nijenhuis_associator",
-    "cross",
-    "embed",
-    "j_apply",
-    "l_polynomial",
-    "newton_polynomial",
-    "nijenhuis",
-    "probe_alternative",
-    "q_series",
-    "rational_sphere_point",
-    "replay_lemma_pontryagin_euler",
-    "s_coefficient",
-    "s_series",
-    "tangent_projection",
-    "verify_j_structure",
-]
+#: The exported names, by the layer module that defines them.
+_EXPORTS = {
+    "cayley_dickson": ("CDElement", "associator", "basis_product", "embed", "probe_alternative"),
+    "char_class": ("SphereCohomologyClass", "replay_lemma_pontryagin_euler"),
+    "classify": ("SphereVerdict", "classify_range", "classify_sphere"),
+    "errors": ("InternalInvariantError",),
+    "genera": ("PowerSeries", "bernoulli", "chern_character", "l_polynomial", "q_series", "s_coefficient", "s_series"),
+    "sphere_acs": (
+        "SpherePoint",
+        "TangentVector",
+        "compare_nijenhuis_associator",
+        "cross",
+        "j_apply",
+        "nijenhuis",
+        "rational_sphere_point",
+        "tangent_projection",
+        "verify_j_structure",
+    ),
+    "symfun": ("GradedPoly", "newton_polynomial"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    """Import the home module of an exported name and keep the name here,
+    so later lookups do not come back through this function."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

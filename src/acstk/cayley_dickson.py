@@ -284,8 +284,10 @@ def basis_product(level: int, i: int, j: int) -> tuple[int, int]:
     """Structure constants: e_i * e_j = sign * e_k, returned as (sign, k).
 
     Computed by structural induction on the doubling rule; products of
-    basis vectors are always signed basis vectors.
+    basis vectors are always signed basis vectors.  Levels run from 0 to
+    `LEVEL_CAP`.
     """
+    _check_level_cap(level)
     if not (0 <= i < 1 << level and 0 <= j < 1 << level):
         raise ValueError(f"basis indices ({i}, {j}) out of range for level {level}")
     if level == 0:

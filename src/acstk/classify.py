@@ -80,9 +80,15 @@ class SphereVerdict(Record):
         return json.dumps(self.as_dict(), indent=2, sort_keys=True)
 
 
+def _check_dimension(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"sphere dimension must be at least 1, got {n}")
+
+
 def check_odd(n: int) -> Optional[dict]:
     """Odd dimensions fall to the determinant parity argument; recorded
     as an axiom since no further computation exists at this level."""
+    _check_dimension(n)
     if n % 2 == 0:
         return None
     return {
@@ -99,7 +105,8 @@ def check_odd(n: int) -> Optional[dict]:
 
 def check_pontryagin_euler(n: int) -> Optional[dict]:
     """For n = 4k, replay the top-Pontryagin/Euler contradiction."""
-    if n % 4 != 0 or n == 0:
+    _check_dimension(n)
+    if n % 4 != 0:
         return None
     k = n // 4
     replay = replay_lemma_pontryagin_euler(k)
@@ -117,7 +124,8 @@ def check_signature(n: int) -> dict:
     """Second, independent route for n = 4k: the signature of S^{4k} is
     zero, yet an almost complex structure would force it to be
     (-1)^k * 4 * s_k with s_k > 0.  Stores s_k exactly."""
-    if n % 4 != 0 or n == 0:
+    _check_dimension(n)
+    if n % 4 != 0:
         raise ValueError(f"the signature route applies to S^{{4k}}, got n = {n}")
     k = n // 4
     s_k = s_coefficient(k)
@@ -210,8 +218,7 @@ def classify_sphere(n: int, samples: int = 25, seed: int = 0) -> SphereVerdict:
     """Classify S^n, attaching the certificate of the first route in
     `ROUTES` that fires, or sampling evidence for the explicit construction
     when none does (exactly at n = 2 and n = 6)."""
-    if n < 1:
-        raise ValueError(f"sphere dimension must be at least 1, got {n}")
+    _check_dimension(n)
     if samples < 1:
         raise ValueError(f"need at least 1 sample, got {samples}")
     for reason, check, axioms, _ in ROUTES:

@@ -20,10 +20,16 @@ generating series of the s_k, and L_1..L_7 and L_1..L_20 in ascending
 order, as `acstk lpoly --k 7` and `--k 20` do.
 Every genus row starts cold: the `l_polynomial`, `newton_polynomial`,
 `q_series` and `bernoulli` caches and the tangent-number table are emptied
-before each round.
+before each round.  The start-up rows time a fresh interpreter running
+`import acstk`, as the benchmark's `setup_s` does, and
+`from acstk import CDElement`, which loads one layer.
 """
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -102,3 +108,12 @@ def test_s_series_100_cold(benchmark):
 @pytest.mark.parametrize("k_max, rounds", [(7, 20), (20, 5)])
 def test_l_polynomials_cold(benchmark, k_max, rounds):
     benchmark.pedantic(lambda: [l_polynomial(k) for k in range(1, k_max + 1)], setup=_cold_genera, rounds=rounds)
+
+
+@pytest.mark.parametrize("statement", ["import acstk", "from acstk import CDElement"])
+def test_cold_import(benchmark, statement):
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    argv = [sys.executable, "-c", statement]
+    subprocess.run(argv, env=env, check=True)  # bytecode is written outside the timing
+    benchmark.pedantic(subprocess.run, args=(argv,), kwargs={"env": env, "check": True}, rounds=20)

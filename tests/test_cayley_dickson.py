@@ -429,6 +429,14 @@ def test_top_level_product_follows_the_structure_constants():
     assert basis(LEVEL_CAP, 37) * basis(LEVEL_CAP, 21) == basis(LEVEL_CAP, k) * sign
 
 
+@pytest.mark.parametrize("level", [-1, LEVEL_CAP + 1, 3000])
+def test_structure_constants_refuse_levels_outside_the_cap(level):
+    cached = basis_product.cache_info().currsize
+    with pytest.raises(ValueError, match=rf"level must be in 0\.\.{LEVEL_CAP}, got {level}$"):
+        basis_product(level, 0, 0)
+    assert basis_product.cache_info().currsize == cached
+
+
 def test_repr_is_pinned():
     assert repr(CDElement(0, (Fraction(-7, 3),))) == "CDElement(level=0, coeffs=(Fraction(-7, 3),))"
     assert repr(CDElement(1, (Fraction(2, 4), 3))) == (

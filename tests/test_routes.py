@@ -15,6 +15,9 @@ from acstk.classify import (
     ROUTES,
     STATUS_RULED_OUT,
     check_chern_divisibility,
+    check_odd,
+    check_pontryagin_euler,
+    check_signature,
     classify_sphere,
 )
 
@@ -25,6 +28,25 @@ ROOT = Path(__file__).resolve().parent.parent
 def test_chern_divisibility_refuses_non_positive_dimensions(n):
     with pytest.raises(ValueError, match=rf"divisibility route .* got n = {n}$"):
         check_chern_divisibility(n)
+
+
+@pytest.mark.parametrize("n", [0, -3, -4])
+@pytest.mark.parametrize(
+    "check",
+    [check_odd, check_pontryagin_euler, check_signature, check_chern_divisibility],
+    ids=lambda check: check.__name__,
+)
+def test_route_checks_refuse_non_positive_dimensions(check, n):
+    # the divisibility route keeps the message of its own domain, which
+    # the test above pins; the others refuse as classify_sphere does
+    if check is check_chern_divisibility:
+        expected = rf"divisibility route .* got n = {n}$"
+    else:
+        expected = rf"^sphere dimension must be at least 1, got {n}$"
+        with pytest.raises(ValueError, match=expected):
+            classify_sphere(n)
+    with pytest.raises(ValueError, match=expected):
+        check(n)
 
 
 def _fired(n: int) -> dict:

@@ -2,8 +2,13 @@
 constructors accept, and what it no longer provides anywhere."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +59,67 @@ def test_all_is_sorted_and_every_name_resolves():
     assert len(set(acstk.__all__)) == len(acstk.__all__)
     for name in acstk.__all__:
         assert getattr(acstk, name) is not None, name
+
+
+def _run(code: str) -> str:
+    """Stdout of `code` in a fresh interpreter that imports acstk from src/."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _added_by(statement: str) -> set:
+    """The modules that `statement` adds; a module that a site hook
+    preloads is not counted."""
+    return set(_run(
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"{statement}\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    ).split())
+
+
+def test_import_acstk_loads_no_layer():
+    assert _added_by("import acstk") == {"acstk"}
+
+
+def test_one_name_loads_its_own_layer_only():
+    added = _added_by("from acstk import CDElement")
+    assert "acstk.cayley_dickson" in added
+    assert not added & {f"acstk.{name}" for name in ("classify", "genera", "char_class", "sphere_acs")}
+
+
+def test_every_export_is_the_object_of_its_home_module():
+    for module, names in acstk._EXPORTS.items():
+        home = importlib.import_module(f"acstk.{module}")
+        for name in names:
+            assert getattr(acstk, name) is getattr(home, name), name
+
+
+def test_dir_lists_every_export_before_its_first_use():
+    listed = _run("import acstk\nprint(' '.join(dir(acstk)))\n")
+    assert set(acstk.__all__) <= set(listed.split())
+
+
+def test_unknown_names_raise_the_standard_attribute_error():
+    with pytest.raises(AttributeError) as plain:
+        types.ModuleType("acstk").nope
+    with pytest.raises(AttributeError) as lazy:
+        acstk.nope
+    assert str(lazy.value) == str(plain.value) == "module 'acstk' has no attribute 'nope'"
+
+
+def test_star_import_binds_every_export():
+    # in a fresh interpreter, so every name goes through the first-use import
+    bound = _run(
+        "from acstk import *\n"
+        "import acstk\n"
+        "print(' '.join(n for n in acstk.__all__ if globals().get(n) is getattr(acstk, n)))\n"
+    )
+    assert bound.split() == acstk.__all__
 
 
 def _has(obj, dotted: str) -> bool:
