@@ -44,15 +44,19 @@ __all__ = sorted(_HOME)
 
 def __getattr__(name: str):
     """Import the home module of an exported name and keep the name here,
-    so later lookups do not come back through this function."""
-    if name not in _HOME:
+    so later lookups do not come back through this function.  A layer
+    module's own name imports that module, as `acstk.genera` did when
+    `import acstk` ran every layer."""
+    if name not in _HOME and name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from importlib import import_module
 
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
     value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
     globals()[name] = value
     return value
 
 
 def __dir__():
-    return sorted({*globals(), *__all__})
+    return sorted({*globals(), *__all__, *_EXPORTS})

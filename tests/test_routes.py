@@ -24,28 +24,26 @@ from acstk.classify import (
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("n", [0, -2, -4, -7])
+@pytest.mark.parametrize("n", [0, -2, -3, -4, -7])
 def test_chern_divisibility_refuses_non_positive_dimensions(n):
     with pytest.raises(ValueError, match=rf"divisibility route .* got n = {n}$"):
         check_chern_divisibility(n)
 
 
 @pytest.mark.parametrize("n", [0, -3, -4])
+def test_classify_sphere_refuses_non_positive_dimensions(n):
+    with pytest.raises(ValueError, match=rf"^sphere dimension must be at least 1, got {n}$"):
+        classify_sphere(n)
+
+
+@pytest.mark.parametrize("n", [0, -3, -4])
 @pytest.mark.parametrize(
-    "check",
-    [check_odd, check_pontryagin_euler, check_signature, check_chern_divisibility],
-    ids=lambda check: check.__name__,
+    "check", [check_odd, check_pontryagin_euler, check_signature], ids=lambda check: check.__name__
 )
 def test_route_checks_refuse_non_positive_dimensions(check, n):
-    # the divisibility route keeps the message of its own domain, which
-    # the test above pins; the others refuse as classify_sphere does
-    if check is check_chern_divisibility:
-        expected = rf"divisibility route .* got n = {n}$"
-    else:
-        expected = rf"^sphere dimension must be at least 1, got {n}$"
-        with pytest.raises(ValueError, match=expected):
-            classify_sphere(n)
-    with pytest.raises(ValueError, match=expected):
+    # the same refusal as classify_sphere's; the divisibility route keeps
+    # the message of its own domain, pinned above
+    with pytest.raises(ValueError, match=rf"^sphere dimension must be at least 1, got {n}$"):
         check(n)
 
 

@@ -104,6 +104,18 @@ def test_dir_lists_every_export_before_its_first_use():
     assert set(acstk.__all__) <= set(listed.split())
 
 
+def test_layer_modules_are_attributes_after_a_plain_import():
+    # as when `import acstk` ran every layer; the CLI is not a layer
+    reached = _run(
+        "import acstk, sys\n"
+        "print(acstk.genera.bernoulli is acstk.bernoulli, hasattr(acstk, 'cli'))\n"
+        "print(' '.join(m for m in acstk._EXPORTS if getattr(acstk, m) is sys.modules['acstk.' + m]))\n"
+        "print(' '.join(m for m in acstk._EXPORTS if m in dir(acstk)))\n"
+    ).splitlines()
+    assert reached[0] == "True False"
+    assert reached[1].split() == reached[2].split() == list(acstk._EXPORTS)
+
+
 def test_unknown_names_raise_the_standard_attribute_error():
     with pytest.raises(AttributeError) as plain:
         types.ModuleType("acstk").nope
