@@ -47,15 +47,15 @@ def __getattr__(name: str):
     so later lookups do not come back through this function.  A layer
     module's own name imports that module, as `acstk.genera` did when
     `import acstk` ran every layer."""
-    if name not in _HOME and name not in _EXPORTS:
+    home = name if name in _EXPORTS else _HOME.get(name)
+    if home is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    if name in _EXPORTS:
-        return import_module(f"{__name__}.{name}")
-    value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
-    globals()[name] = value
-    return value
+    # __import__, unlike importlib.import_module, is the path that
+    # `-X importtime` times; importing binds the module here
+    __import__(f"{__name__}.{home}")
+    if home != name:
+        globals()[name] = getattr(globals()[home], name)
+    return globals()[name]
 
 
 def __dir__():

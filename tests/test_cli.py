@@ -358,8 +358,8 @@ def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
 def test_cli_import_loads_every_layer_but_not_json():
     """`json` is imported only where JSON is printed, while `import
     acstk.cli` still loads every layer module, whose import times the
-    benchmark reads per module.  As above, only modules the import adds
-    count for `json`."""
+    benchmark reads per module from `-X importtime`, so each is listed
+    there too.  As above, only modules the import adds count for `json`."""
     layers = ["cayley_dickson", "sphere_acs", "symfun", "genera", "char_class", "classify", "cli"]
     probe = (
         "import sys\n"
@@ -369,9 +369,11 @@ def test_cli_import_loads_every_layer_but_not_json():
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-X", "importtime", "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     added = set(proc.stdout.split())
     assert "json" not in added
     assert {f"acstk.{name}" for name in layers} <= added
+    timed = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()}
+    assert {f"acstk.{name}" for name in layers} <= timed

@@ -106,14 +106,14 @@ def test_dir_lists_every_export_before_its_first_use():
 
 def test_layer_modules_are_attributes_after_a_plain_import():
     # as when `import acstk` ran every layer; the CLI is not a layer
-    reached = _run(
+    listed, reached, bound = _run(
         "import acstk, sys\n"
+        "print(' '.join(m for m in acstk._EXPORTS if m in dir(acstk)))\n"
         "print(acstk.genera.bernoulli is acstk.bernoulli, hasattr(acstk, 'cli'))\n"
         "print(' '.join(m for m in acstk._EXPORTS if getattr(acstk, m) is sys.modules['acstk.' + m]))\n"
-        "print(' '.join(m for m in acstk._EXPORTS if m in dir(acstk)))\n"
     ).splitlines()
-    assert reached[0] == "True False"
-    assert reached[1].split() == reached[2].split() == list(acstk._EXPORTS)
+    assert reached == "True False"
+    assert listed.split() == bound.split() == list(acstk._EXPORTS)
 
 
 def test_unknown_names_raise_the_standard_attribute_error():
