@@ -45,8 +45,8 @@ __all__ = sorted(_HOME)
 def __getattr__(name: str):
     """Import the home module of an exported name and keep the name here,
     so later lookups do not come back through this function.  A layer
-    module's own name imports that module, as `acstk.genera` did when
-    `import acstk` ran every layer."""
+    module's own name imports that module, so `acstk.genera` is reachable
+    after a bare `import acstk`."""
     home = name if name in _EXPORTS else _HOME.get(name)
     if home is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
