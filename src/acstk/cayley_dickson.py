@@ -42,8 +42,8 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional
 
+from ._exact import Rational, _frac, _join_signed, _over_common_denominator, _term
 from ._record import Record
-from .symfun import Rational, _frac, _join_signed
 
 #: Elements exist up to this level: the level-n product is compiled from
 #: 4^n terms on first use, so the cap bounds that cost.
@@ -59,19 +59,6 @@ _set = object.__setattr__
 def _check_level_cap(level: int) -> None:
     if not 0 <= level <= LEVEL_CAP:
         raise ValueError(f"level must be in 0..{LEVEL_CAP}, got {level}")
-
-
-def _over_common_denominator(pairs) -> tuple[list[int], int]:
-    """Integer numerators n_i and one denominator d with
-    n_i/d = pairs[i][0]/pairs[i][1] (every pairs[i][1] > 0).
-
-    For reduced pairs, d = lcm of the denominators is already in lowest
-    terms with the n_i: if p^e is the highest power of a prime p dividing
-    d, then p^e divides some denominator d_i, and p divides neither d/d_i
-    nor that pair's numerator.  Unreduced pairs need one more reduction.
-    """
-    den = lcm(*(d for _, d in pairs))
-    return [n * (den // d) for n, d in pairs], den
 
 
 class CDElement(Record):
@@ -241,20 +228,7 @@ class CDElement(Record):
         return cls(int(data["level"]), data["coeffs"])
 
     def __str__(self) -> str:
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            name = "1" if i == 0 else f"e{i}"
-            if i == 0:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(name)
-            elif c == -1:
-                parts.append(f"-{name}")
-            else:
-                parts.append(f"{c}*{name}")
-        return _join_signed(parts)
+        return _join_signed([_term(c, f"e{i}" if i else "") for i, c in enumerate(self.coeffs) if c])
 
 
 def associator(u: CDElement, v: CDElement, w: CDElement) -> CDElement:

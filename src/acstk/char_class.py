@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from ._exact import _frac
 from ._record import Record
-from .symfun import _frac
 
 
 class SphereCohomologyClass(Record):

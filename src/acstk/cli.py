@@ -11,16 +11,15 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 from fractions import Fraction
 
 from . import classify as classify_mod
+from ._exact import _EXPONENT
 from .cayley_dickson import CDElement
 from .errors import InternalInvariantError
 from .genera import bernoulli, l_polynomial, q_series
 from .sphere_acs import (
-    SPHERE_LEVEL,
     compare_nijenhuis_associator,
     nijenhuis,
     rational_sphere_point,
@@ -54,8 +53,6 @@ SAMPLES_MAX = 100_000
 #: numerators and denominators of about 2000 digits, inside Python's
 #: 4300-digit limit for int-to-str conversion.
 RATIONAL_MAX_DIGITS = 100
-
-_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*$")
 
 
 def _default_seed() -> int:
@@ -92,18 +89,16 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise ValueError(f"range must look like A..B, got {text!r}")
 
 
-def _point_and_vector(sphere: int, point_text: str, vector_text: str, what: str):
-    point = rational_sphere_point(sphere, _parse_rationals(point_text, "--point"))
-    level = SPHERE_LEVEL[sphere]
-    ambient_dim = (1 << level) - 1
-    comps = _parse_rationals(vector_text, what)
-    if len(comps) != ambient_dim:
+def _tangent(point, text: str, flag: str):
+    """The ambient imaginary components in `text`, projected to the
+    tangent space at `point`."""
+    comps = _parse_rationals(text, flag)
+    if len(comps) != point.sphere_dim + 1:
         raise ValueError(
-            f"{what} needs {ambient_dim} ambient imaginary components for S^{sphere}, "
-            f"got {len(comps)}"
+            f"{flag} needs {point.sphere_dim + 1} ambient imaginary components for "
+            f"S^{point.sphere_dim}, got {len(comps)}"
         )
-    vec = CDElement(level, tuple([Fraction(0)] + comps))
-    return point, tangent_projection(point, vec)
+    return tangent_projection(point, CDElement(point.vector.level, (0, *comps)))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -252,8 +247,8 @@ def _cmd_verify_j(args) -> int:
 
 
 def _cmd_nijenhuis(args) -> int:
-    point, u = _point_and_vector(args.sphere, args.point, args.u, "--u")
-    _, v = _point_and_vector(args.sphere, args.point, args.v, "--v")
+    point = rational_sphere_point(args.sphere, _parse_rationals(args.point, "--point"))
+    u, v = (_tangent(point, getattr(args, x), f"--{x}") for x in "uv")
     value = nijenhuis(point, u, v)
     payload = {
         "sphere": args.sphere,
@@ -274,9 +269,8 @@ def _cmd_nijenhuis(args) -> int:
 
 
 def _cmd_assoc_compare(args) -> int:
-    point, u = _point_and_vector(args.sphere, args.point, args.u, "--u")
-    _, v = _point_and_vector(args.sphere, args.point, args.v, "--v")
-    _, w = _point_and_vector(args.sphere, args.point, args.w, "--w")
+    point = rational_sphere_point(args.sphere, _parse_rationals(args.point, "--point"))
+    u, v, w = (_tangent(point, getattr(args, x), f"--{x}") for x in "uvw")
     report = compare_nijenhuis_associator(point, u, v, w)
     if args.json:
         _print_json(report.as_dict())

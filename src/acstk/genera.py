@@ -22,8 +22,9 @@ from functools import lru_cache
 from operator import lshift
 from typing import Sequence
 
+from ._exact import Rational, _frac, _join_signed, _over_common_denominator, _term
 from .errors import InternalInvariantError
-from .symfun import GradedPoly, Rational, _frac, _join_signed, newton_polynomial, power_sums_from_values
+from .symfun import GradedPoly, newton_polynomial, power_sums_from_values
 
 
 class PowerSeries:
@@ -64,22 +65,8 @@ class PowerSeries:
     __hash__ = None
 
     def __str__(self):
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            else:
-                z = "z" if k == 1 else f"z^{k}"
-                if c == 1:
-                    parts.append(z)
-                elif c == -1:
-                    parts.append(f"-{z}")
-                else:
-                    parts.append(f"{c}*{z}")
-        parts.append(f"O(z^{self.order + 1})")
-        return _join_signed(parts)
+        parts = [_term(c, "" if k == 0 else "z" if k == 1 else f"z^{k}") for k, c in enumerate(self.coeffs) if c]
+        return _join_signed([*parts, f"O(z^{self.order + 1})"])
 
     def __repr__(self):
         return f"PowerSeries({self!s})"
@@ -175,11 +162,8 @@ def _numerators(poly: GradedPoly, shifts: range) -> tuple[dict, int]:
     """The terms of `poly` as integer numerators over their least common
     denominator, each exponent tuple packed into one int key: exponent i
     goes in the bit field that starts at shifts[i]."""
-    den = math.lcm(*(c.denominator for c in poly.terms.values()))
-    return {
-        sum(map(lshift, exps, shifts)): c.numerator * (den // c.denominator)
-        for exps, c in poly.terms.items()
-    }, den
+    nums, den = _over_common_denominator([c.as_integer_ratio() for c in poly.terms.values()])
+    return dict(zip((sum(map(lshift, exps, shifts)) for exps in poly.terms), nums)), den
 
 
 @lru_cache(maxsize=None)

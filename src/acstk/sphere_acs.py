@@ -48,9 +48,9 @@ from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence
 
+from ._exact import _frac, _over_common_denominator
 from ._record import Record
-from .cayley_dickson import CDElement, _kernel, _over_common_denominator, _random_pairs, associator
-from .symfun import _frac
+from .cayley_dickson import CDElement, _kernel, _random_pairs, associator
 
 #: sphere dimension -> level of the ambient doubling algebra
 SPHERE_LEVEL = {2: 2, 6: 3}

@@ -20,18 +20,16 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 from operator import add
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
-Rational = Union[int, Fraction]
+from ._exact import Rational, _frac, _join_signed, _term
 
 
-def _frac(x) -> Fraction:
-    """The exact rational an int, a Fraction or a string such as "-3/4"
-    names.  A float is refused: it holds a binary approximation (0.1 is
-    3602879701896397/36028797018963968), not the rational it was written as."""
-    if isinstance(x, float):
-        raise TypeError(f"coefficients must be exact rationals, got the float {x!r}")
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _unit_exponents(generators: tuple, name: str) -> tuple:
+    """The exponent tuple of the generator `name` alone."""
+    if name not in generators:
+        raise ValueError(f"no generator {name!r} among {generators}")
+    return tuple(int(g == name) for g in generators)
 
 
 class GradedPoly:
@@ -96,9 +94,7 @@ class GradedPoly:
     @classmethod
     def generator(cls, generators, weights, name):
         generators = tuple(generators)
-        i = generators.index(name)
-        exps = tuple(1 if j == i else 0 for j in range(len(generators)))
-        return cls(generators, weights, {exps: 1})
+        return cls(generators, weights, {_unit_exponents(generators, name): 1})
 
     # ------------------------------------------------------------------
     # ring operations
@@ -223,9 +219,7 @@ class GradedPoly:
 
     def coefficient_of_generator(self, name: str) -> Fraction:
         """Coefficient of the plain degree-one monomial in one generator."""
-        i = self.generators.index(name)
-        exps = tuple(1 if j == i else 0 for j in range(len(self.generators)))
-        return self.coefficient(exps)
+        return self.coefficient(_unit_exponents(self.generators, name))
 
     # ------------------------------------------------------------------
     # display
@@ -241,21 +235,8 @@ class GradedPoly:
     def __str__(self):
         parts = []
         for exps, coeff in self.sorted_terms():
-            factors = []
-            for name, e in zip(self.generators, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            if not factors:
-                body = str(coeff)
-            elif coeff == 1:
-                body = "*".join(factors)
-            elif coeff == -1:
-                body = "-" + "*".join(factors)
-            else:
-                body = str(coeff) + "*" + "*".join(factors)
-            parts.append(body)
+            factors = (g if e == 1 else f"{g}^{e}" for g, e in zip(self.generators, exps) if e)
+            parts.append(_term(coeff, "*".join(factors)))
         return _join_signed(parts)
 
     def __repr__(self):
@@ -282,16 +263,6 @@ class GradedPoly:
             body = (num + (" " if num and factors else "") + " ".join(factors)).strip()
             parts.append(("-" if coeff < 0 else "") + body)
         return _join_signed(parts)
-
-
-def _join_signed(parts: list[str]) -> str:
-    """Join rendered terms with ' + ' / ' - '; the zero polynomial is '0'."""
-    if not parts:
-        return "0"
-    out = parts[0]
-    for p in parts[1:]:
-        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-    return out
 
 
 # ----------------------------------------------------------------------

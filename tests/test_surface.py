@@ -1,6 +1,7 @@
 """The public surface of the package: what `acstk` exports, what its
 constructors accept, and what it no longer provides anywhere."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -86,10 +87,26 @@ def test_import_acstk_loads_no_layer():
     assert _added_by("import acstk") == {"acstk"}
 
 
+def _sphere_algebra_imports() -> str:
+    """The statements that import acstk in the sphere-algebra benchmark program."""
+    tree = ast.parse((Path(__file__).resolve().parent.parent / "bench" / "sphere_driver.py").read_text())
+    return "\n".join(
+        ast.unparse(node) for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "acstk"
+    )
+
+
 def test_one_name_loads_its_own_layer_only():
-    added = _added_by("from acstk import CDElement")
-    assert "acstk.cayley_dickson" in added
-    assert not added & {f"acstk.{name}" for name in ("classify", "genera", "char_class", "sphere_acs")}
+    # the layers below the polynomial one take their rationals from acstk._exact
+    exact = {"acstk", "acstk._exact", "acstk._record", "acstk.cayley_dickson"}
+    for statement, layers in [
+        ("from acstk import CDElement", exact),
+        ("from acstk import nijenhuis", exact | {"acstk.sphere_acs"}),
+        ("from acstk import SphereCohomologyClass", {"acstk", "acstk._exact", "acstk._record", "acstk.char_class"}),
+        (_sphere_algebra_imports(), exact | {"acstk.sphere_acs"}),
+    ]:
+        added = {m for m in _added_by(statement) if m.split(".")[0] == "acstk"}
+        assert added == layers, statement
 
 
 def test_every_export_is_the_object_of_its_home_module():
@@ -151,7 +168,7 @@ def test_removed_names_are_gone(name):
         assert not _has(module, name), f"{module.__name__}.{name}"
 
 
-@pytest.mark.parametrize(
+CONSTRUCTORS = pytest.mark.parametrize(
     "build",
     [
         lambda c: CDElement(1, [c, 0]),
@@ -162,9 +179,32 @@ def test_removed_names_are_gone(name):
     ],
     ids=["CDElement", "CDElement.from_dict", "GradedPoly", "PowerSeries", "SphereCohomologyClass"],
 )
+
+
+@CONSTRUCTORS
 def test_constructors_refuse_floats(build):
     # 0.1 is the binary fraction 3602879701896397/36028797018963968, not 1/10
     with pytest.raises(TypeError, match="float"):
         build(0.1)
     assert build("1/10") == build(Fraction(1, 10))
     assert build(3) == build(Fraction(3))
+
+
+@CONSTRUCTORS
+def test_constructors_refuse_long_decimal_exponents(build):
+    # Fraction("1e-99999999") builds 10^99999999 before it returns
+    for text in ("1e4301", "1e-99999999", "-1E+0_4301", "1e" + "0" * 5000 + "4301"):
+        with pytest.raises(ValueError, match="exponent"):
+            build(text)
+    assert build("1e4300") == build(10**4300)
+    assert build(" -2.5e-04_300 ") == build(Fraction(-25, 10**4301))
+
+
+def test_values_print_as_signed_sums():
+    half = Fraction(-1, 2)
+    assert str(CDElement(2, [-1, 1, -1, half])) == "-1 + e1 - e2 - 1/2*e3"
+    assert str(CDElement(2, [0, 0, 0, 0])) == "0"
+    x_y = {(0, 0): 3, (1, 0): 1, (0, 1): -1, (2, 0): half, (1, 1): -1}
+    assert str(GradedPoly(("x", "y"), (1, 1), x_y)) == "3 + x - y - 1/2*x^2 - x*y"
+    assert str(GradedPoly(("x",), (1,), {})) == "0"
+    assert str(PowerSeries([half, 1, -1, 0, half])) == "-1/2 + z - z^2 - 1/2*z^4 + O(z^5)"

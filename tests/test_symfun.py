@@ -299,6 +299,17 @@ def test_constructor_rejects_malformed_input(generators, weights, terms, message
         GradedPoly(generators, weights, terms)
 
 
+def test_unknown_generator_names_the_generators_there_are():
+    p1 = GradedPoly.generator(("p1", "p2"), (1, 2), "p1")
+    assert p1.coefficient_of_generator("p1") == 1
+    assert p1.coefficient_of_generator("p2") == 0
+    message = r"no generator 'p3' among \('p1', 'p2'\)"
+    with pytest.raises(ValueError, match=message):
+        GradedPoly.generator(["p1", "p2"], (1, 2), "p3")
+    with pytest.raises(ValueError, match=message):
+        p1.coefficient_of_generator("p3")
+
+
 def test_rendering_canonical_order():
     assert str(newton_polynomial(2)) == "s1^2 - 2*s2"
     assert str(newton_polynomial(3)) == "s1^3 - 3*s1*s2 + 3*s3"
