@@ -24,12 +24,17 @@ def _frac(x) -> Fraction:
     names.  A float is refused: it holds a binary approximation (0.1 is
     3602879701896397/36028797018963968), not the rational it was written as.
     So is a decimal exponent above `_EXPONENT_MAX` in absolute value, and
-    its length is read before int() parses it."""
+    its length is read before int() parses it.  Every other type raises
+    `TypeError`: `Fraction` would expand a `Decimal`'s exponent unchecked."""
     if isinstance(x, float):
         raise TypeError(f"coefficients must be exact rationals, got the float {x!r}")
     if isinstance(x, Fraction):
         return x
-    match = _EXPONENT.search(x) if isinstance(x, str) else None
+    if isinstance(x, int):
+        return Fraction(x)
+    if not isinstance(x, str):
+        raise TypeError(f"coefficients must be an int, a Fraction or a string, got the {type(x).__name__} {x!r}")
+    match = _EXPONENT.search(x)
     if match:
         digits = match[1].replace("_", "").lstrip("+-0")
         if len(digits) > len(str(_EXPONENT_MAX)) or int(digits or 0) > _EXPONENT_MAX:

@@ -14,7 +14,7 @@ multiples and products work on the integers and reduce once through one
 private constructor; inner products and norms are one integer dot product
 and one `Fraction`.  The `Fraction` coefficients (`coeffs`) are built only
 when asked for, for display, JSON and callers of the public API, and
-never by the random sampler.
+never by the probe's random scan.
 
 The doubling rule
 
@@ -35,6 +35,7 @@ e3*e1 = e2.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -223,10 +224,6 @@ class CDElement(Record):
     def as_dict(self) -> dict:
         return {"level": self.level, "coeffs": [str(c) for c in self.coeffs]}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "CDElement":
-        return cls(int(data["level"]), data["coeffs"])
-
     def __str__(self) -> str:
         return _join_signed([_term(c, f"e{i}" if i else "") for i, c in enumerate(self.coeffs) if c])
 
@@ -321,28 +318,11 @@ def _basis_associator(level: int, a: int, b: int, c: int) -> Optional[tuple[int,
     return (left[0] - right[0], x)
 
 
-def random_element(
-    level: int,
-    rng: random.Random,
-    imaginary: bool = False,
-    max_num: int = 6,
-    max_den: int = 4,
-) -> CDElement:
-    """A random element with small rational coefficients (for probes/tests);
-    with `imaginary` the real part is drawn too, then set to 0."""
-    _check_level_cap(level)
-    pairs = _random_pairs(rng, 1 << level, max_num, max_den)
-    if imaginary:
-        pairs[0] = (0, 1)
-    return CDElement._reduced(level, *_over_common_denominator(pairs))
-
-
 def _random_pairs(rng: random.Random, count: int, max_num: int, max_den: int) -> list[tuple[int, int]]:
     """`count` draws of rng.randint(-max_num, max_num) over
     rng.randint(1, max_den), the numerator first, by randint's own rule for a
-    width n (getrandbits(n.bit_length()), redrawn while >= n): same values, same state."""
-    if max_num < 0 or max_den < 1:
-        raise ValueError(f"empty range: max_num = {max_num}, max_den = {max_den}")
+    width n (getrandbits(n.bit_length()), redrawn while >= n): same values, same state.
+    The callers pass constants, so the ranges are never empty."""
     bits, width = rng.getrandbits, 2 * max_num + 1
     kn, kd = width.bit_length(), max_den.bit_length()
     pairs = []
@@ -386,98 +366,76 @@ class AlternativityReport(Record):
         return out
 
 
+def _repeated_argument_witnesses(level: int, e: list):
+    """Per basis triple [e_i, e_i, e_j], [e_i, e_j, e_j], [e_i, e_j, e_i]:
+    the witness (form, e_i, e_j, associator) or None.  In every level of the
+    tower these vanish, but the scan is cheap and keeps the claim honest."""
+    for i, j in itertools.product(range(len(e)), repeat=2):
+        for (a, b, c), form in (((i, i, j), "[u,u,v]"), ((i, j, j), "[u,v,v]"), ((i, j, i), "[u,v,u]")):
+            val = _basis_associator(level, a, b, c) and associator(e[a], e[b], e[c])
+            yield (form, e[i], e[j], val) if val else None
+
+
+def _antisymmetry_witnesses(level: int, e: list):
+    """Per basis triple (i < j, k): None when [e_i, e_j, e_k] = -[e_j, e_i, e_k],
+    else the repeated-argument witness ("[u,u,v]", u, v, [u, u, v]) of
+    u = e_i + e_j, v = e_k (None should that associator vanish)."""
+    for (i, j), k in itertools.product(itertools.combinations(range(len(e)), 2), range(len(e))):
+        lhs, rhs = _basis_associator(level, i, j, k), _basis_associator(level, j, i, k)
+        val = rhs != (lhs and (-lhs[0], lhs[1])) and associator(e[i] + e[j], e[i] + e[j], e[k])
+        yield ("[u,u,v]", e[i] + e[j], e[k], val) if val else None
+
+
+def _random_witnesses(level: int, samples: int, seed: int):
+    """Per repeated-argument triple of `samples` random pairs u, v: None,
+    except at the first nonzero associator, which yields the witness (form,
+    u, v, associator); later ones are never reported, so never built.  The
+    three associators share the products uu, uv, vv, vu: 10 per sample."""
+    rng, mult, found = random.Random(seed), _kernel(level), False
+    for _ in range(samples):
+        (a, da), (b, db) = (_over_common_denominator(_random_pairs(rng, 1 << level, 6, 4)) for _ in range(2))
+        uv = mult(a, b)
+        for form, left, right, den in (
+            ("[u,u,v]", mult(mult(a, a), b), mult(a, uv), da * da * db),
+            ("[u,v,v]", mult(uv, b), mult(a, mult(b, b)), da * db * db),
+            ("[u,v,u]", mult(uv, a), mult(a, mult(b, a)), da * da * db),
+        ):
+            val = [x - y for x, y in zip(left, right)]
+            if found or not any(val):
+                yield None
+                continue
+            found = True
+            u, v = CDElement._reduced(level, a, da), CDElement._reduced(level, b, db)
+            yield form, u, v, CDElement._reduced(level, val, den)
+
+
 def probe_alternative(level: int, samples: int = 200, seed: int = 0) -> AlternativityReport:
     """Probe the alternating law [u, v, w] = 0 whenever two arguments agree.
 
-    Runs three searches: an exhaustive basis scan of repeated-argument
-    associators, an exhaustive basis scan for antisymmetry failures
-    [e_i, e_j, e_k] != -[e_j, e_i, e_k] (which yield a repeated-argument
-    witness u = e_i + e_j), and random repeated-argument triples.  Any
-    witness is re-verified with generic coefficient arithmetic before it
-    is reported.  A negative level or sample count raises `ValueError`.
+    Scans, in turn, the repeated-argument basis triples, the basis triples
+    for antisymmetry failures [e_i, e_j, e_k] != -[e_j, e_i, e_k] (each
+    gives the repeated-argument witness u = e_i + e_j), and random
+    repeated-argument triples.  The basis scans stop at the first witness;
+    the random scan runs to the end, and its first witness is reported only
+    when they found none.  A witness's associator is computed from its own
+    u and v with the exact product, not read off the structure table.  A
+    negative level or sample count raises `ValueError`.
     """
     if level < 0:
         raise ValueError(f"probe level must be nonnegative, got {level}")
     if level > PROBE_LEVEL_CAP:
-        raise ValueError(
-            f"probe level {level} exceeds the cost cap {PROBE_LEVEL_CAP}"
-        )
+        raise ValueError(f"probe level {level} exceeds the cost cap {PROBE_LEVEL_CAP}")
     if samples < 0:
         raise ValueError(f"probe samples must be nonnegative, got {samples}")
-    dim = 1 << level
-    basis_checks = 0
-    witness = None
-
-    # Repeated-argument basis triples.  In every level of the tower these
-    # vanish on pure basis vectors, but the scan is cheap and keeps the
-    # claim honest.
-    for i in range(dim):
-        for j in range(dim):
-            for (a, b, c), form in (
-                ((i, i, j), "[u,u,v]"),
-                ((i, j, j), "[u,v,v]"),
-                ((i, j, i), "[u,v,u]"),
-            ):
-                basis_checks += 1
-                if _basis_associator(level, a, b, c) is not None:
-                    u, v = CDElement.basis(level, i), CDElement.basis(level, j)
-                    val = associator(*(CDElement.basis(level, x) for x in (a, b, c)))
-                    if val:
-                        witness = (form, u, v, val)
-                        break
-            if witness:
+    e = [CDElement.basis(level, i) for i in range(1 << level)]
+    checks, witness = [0, 0], None  # basis checks, random checks
+    for slot, scan in (
+        (0, itertools.chain(_repeated_argument_witnesses(level, e), _antisymmetry_witnesses(level, e))),
+        (1, _random_witnesses(level, samples, seed)),
+    ):
+        for found in scan:
+            checks[slot] += 1
+            witness = witness or found
+            if witness and slot == 0:
                 break
-        if witness:
-            break
-
-    # Antisymmetry scan: a violation at (i, j, k) makes u = e_i + e_j a
-    # concrete repeated-argument counterexample.
-    if witness is None:
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                for k in range(dim):
-                    basis_checks += 1
-                    lhs = _basis_associator(level, i, j, k)
-                    rhs = _basis_associator(level, j, i, k)
-                    broken = (
-                        (lhs is None) != (rhs is None)
-                        or (lhs is not None and (lhs[0] != -rhs[0] or lhs[1] != rhs[1]))
-                    )
-                    if broken:
-                        u = CDElement.basis(level, i) + CDElement.basis(level, j)
-                        v = CDElement.basis(level, k)
-                        val = associator(u, u, v)
-                        if val:
-                            witness = ("[u,u,v]", u, v, val)
-                            break
-                if witness:
-                    break
-            if witness:
-                break
-
-    # Random repeated-argument triples.  The three associators share the
-    # products uu, uv, vv and vu: 10 products per sample.
-    rng = random.Random(seed)
-    product = _kernel(level)
-    random_checks = 0
-    for _ in range(samples):
-        # the draws of random_element(level, rng), twice
-        (a, da), (b, db) = (_over_common_denominator(_random_pairs(rng, dim, 6, 4)) for _ in range(2))
-        uv = product(a, b)
-        for form, left, right, den in (
-            ("[u,u,v]", product(product(a, a), b), product(a, uv), da * da * db),
-            ("[u,v,v]", product(uv, b), product(a, product(b, b)), da * db * db),
-            ("[u,v,u]", product(uv, a), product(a, product(b, a)), da * da * db),
-        ):
-            random_checks += 1
-            val = [x - y for x, y in zip(left, right)]
-            if any(val) and witness is None:
-                u, v = CDElement._reduced(level, a, da), CDElement._reduced(level, b, db)
-                witness = (form, u, v, CDElement._reduced(level, val, den))
-
-    if witness is None:
-        return AlternativityReport(level, True, basis_checks, random_checks)
-    form, u, v, val = witness
-    return AlternativityReport(
-        level, False, basis_checks, random_checks, form, u, v, val
-    )
+    return AlternativityReport(level, not witness, *checks, *(witness or ()))

@@ -32,7 +32,7 @@ from .char_class import (
 )
 from .errors import InternalInvariantError
 from .genera import chern_character, s_coefficient
-from .sphere_acs import verify_j_structure
+from .sphere_acs import SPHERE_LEVEL, verify_j_structure
 from .symfun import GradedPoly
 
 STATUS_EXISTS = "exists"
@@ -73,11 +73,6 @@ class SphereVerdict(Record):
             "certificate": self.certificate,
             "assumed_axioms": list(self.assumed_axioms),
         }
-
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
 
 
 def _check_dimension(n: int) -> None:
@@ -226,7 +221,7 @@ def classify_sphere(n: int, samples: int = 25, seed: int = 0) -> SphereVerdict:
         if certificate is not None:
             return SphereVerdict(n, STATUS_RULED_OUT, reason, certificate, axioms)
 
-    if n not in (2, 6):
+    if n not in SPHERE_LEVEL:
         raise InternalInvariantError(
             f"no obstruction fired for S^{n}, which should only happen for n in (2, 6)"
         )
@@ -239,7 +234,7 @@ def classify_sphere(n: int, samples: int = 25, seed: int = 0) -> SphereVerdict:
         "reason": REASON_CONSTRUCTION,
         "construction": (
             "J_p(v) = p x v with the cross product of the imaginary part "
-            f"of the level-{2 if n == 2 else 3} doubling algebra"
+            f"of the level-{SPHERE_LEVEL[n]} doubling algebra"
         ),
         "verification": report.as_dict(),
     }

@@ -9,13 +9,13 @@ u x v = (uv - vu)/2 = Im(uv) is the commutator cross product of
 imaginary elements.  Sphere points are produced by inverse stereographic
 projection on integers: parameters q_i = N_i/D with S = sum N_i^2 give
 (2 N_1 D, ..., 2 N_d D, S - D^2)/(S + D^2), so every coordinate is an
-exact rational.  The samplers, the tangent projection and the cross
+exact rational.  The random draws, the tangent projection and the cross
 product run on one private layer of integer pairs (numerators,
 denominator), which the public functions reduce once into a `CDElement`.
 `verify_j_structure` and `nijenhuis` run their loops on that layer
 directly, so the public functions, the J check and the tensor share one
-draw stream and one cross product; the J check builds elements only for
-its reported example.
+cross product; the J check draws its points and tangents there and builds
+elements only for its reported example.
 
 The Nijenhuis tensor
 
@@ -120,7 +120,7 @@ class SpherePoint(Record):
     vector: CDElement
 
     def __post_init__(self):
-        if self.vector.level not in (2, 3):
+        if self.vector.level not in SPHERE_LEVEL.values():
             raise ValueError(
                 f"sphere points live at level 2 or 3, got level {self.vector.level}"
             )
@@ -151,9 +151,6 @@ class TangentVector(Record):
         if not self.vector.is_imaginary():
             raise ValueError("tangent vectors must be imaginary")
         _check_orthogonal((self.vector.num, self.vector.den), (self.base.vector.num, self.base.vector.den))
-
-    def scale(self, q) -> "TangentVector":
-        return TangentVector(self.base, self.vector * q)
 
     def as_dict(self) -> dict:
         return self.vector.as_dict()
@@ -204,17 +201,6 @@ def tangent_projection(p: SpherePoint, w: CDElement) -> TangentVector:
     if not w.is_imaginary():
         raise ValueError(f"tangent projection needs an imaginary vector, got real part {w.real_part()}")
     return TangentVector(p, CDElement._reduced(w.level, *_project((p.vector.num, p.vector.den), (w.num, w.den))))
-
-
-def random_sphere_point(sphere_dim: int, rng: random.Random) -> SpherePoint:
-    """The stereographic image of `sphere_dim` random parameters."""
-    return SpherePoint(CDElement._reduced(_level_for(sphere_dim), *_draw_point(sphere_dim, rng)))
-
-
-def random_tangent(p: SpherePoint, rng: random.Random) -> TangentVector:
-    """The tangent projection at p of a random imaginary vector."""
-    level = p.vector.level
-    return TangentVector(p, CDElement._reduced(level, *_draw_tangent(level, (p.vector.num, p.vector.den), rng)))
 
 
 def nijenhuis(p: SpherePoint, u: TangentVector, v: TangentVector) -> CDElement:
@@ -316,13 +302,14 @@ def verify_j_structure(sphere_dim: int, samples: int, seed: int = 0) -> JVerific
     """Check J^2 v = -v, tangency of Jv and |Jv|^2 = |v|^2 exactly on
     `samples` random stereographic points with random rational tangents.
     At least one sample is required, so a report never passes vacuously.
-    Each sample runs on numerator pairs: the draws of `random_sphere_point`
-    and `random_tangent`, the unit-norm and orthogonality checks of
-    `SpherePoint` and `TangentVector` (a failure raises), and the two raw
-    products p x v and p x (p x v), compared with v by cross-multiplication
-    instead of through `TangentVector` (which rejects a non-tangent image),
-    so each flag can read false.  Only the reported example, the first
-    sample, becomes a `CDElement`."""
+    Each sample runs on numerator pairs: a stereographic point of random
+    parameters, the tangent projection of a random imaginary vector, the
+    unit-norm and orthogonality checks of `SpherePoint` and `TangentVector`
+    (a failure raises), and the two raw products p x v and p x (p x v),
+    compared with v by cross-multiplication instead of through
+    `TangentVector` (which rejects a non-tangent image), so each flag can
+    read false.  Only the reported example, the first sample, becomes a
+    `CDElement`."""
     level = _level_for(sphere_dim)
     if samples < 1:
         raise ValueError(f"need at least 1 sample, got {samples}")

@@ -34,9 +34,9 @@ from itertools import combinations
 from math import comb, factorial
 from typing import Mapping, Optional
 
-from acstk.cayley_dickson import AlternativityReport, CDElement, associator, basis_product, random_element
+from acstk.cayley_dickson import AlternativityReport, CDElement, associator, basis_product
 from acstk.genera import PowerSeries, q_series
-from acstk.sphere_acs import cross
+from acstk.sphere_acs import SPHERE_LEVEL, SpherePoint, TangentVector, cross
 from acstk.symfun import GradedPoly, power_sums_from_values
 
 # Hardcoded quaternion multiplication table with i = e1, j = e2, k = e3:
@@ -104,17 +104,22 @@ def doubling_product(a, b):
 # The random samplers on `Fraction`s: each coefficient is built from one
 # (numerator, denominator) draw, numerator first, and the sphere point and
 # tangent come from per-coefficient arithmetic.  The reference for the
-# values of the integer samplers and for the draws they consume.
+# values of the integer draws of the probe and the J check and for the
+# draws they consume, and the source of the tests' random elements.
 
 
-def random_element_oracle(level, rng, imaginary=False, max_num=6, max_den=4):
-    coeffs = [
-        Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
-        for _ in range(1 << level)
-    ]
+def random_element_oracle(level, rng, imaginary=False):
+    """2^level coefficients randint(-6, 6)/randint(1, 4); with `imaginary`
+    the real part is drawn too, then set to 0."""
+    coeffs = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(1 << level)]
     if imaginary:
         coeffs[0] = Fraction(0)
     return tuple(coeffs)
+
+
+def random_cd_element(level, rng, imaginary=False):
+    """`random_element_oracle` as a `CDElement`."""
+    return CDElement(level, random_element_oracle(level, rng, imaginary))
 
 
 def stereographic_oracle(params):
@@ -136,6 +141,15 @@ def random_tangent_oracle(p, rng):
         Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(len(p) - 1)
     )
     return coeff_sub(w, coeff_scale(p, coeff_inner(w, p)))
+
+
+def random_sphere_sample(sphere_dim, rng, tangents):
+    """A `SpherePoint` drawn as `random_sphere_point_oracle` draws it, then
+    `tangents` `TangentVector`s at it drawn as `random_tangent_oracle` does."""
+    level = SPHERE_LEVEL[sphere_dim]
+    p = SpherePoint(CDElement(level, random_sphere_point_oracle(sphere_dim, rng)))
+    vectors = [CDElement(level, random_tangent_oracle(p.vector.coeffs, rng)) for _ in range(tangents)]
+    return (p, *(TangentVector(p, v) for v in vectors))
 
 
 def probe_alternative_oracle(level, samples, seed):
@@ -179,11 +193,11 @@ def probe_alternative_oracle(level, samples, seed):
 
 def random_scan_oracle(level, samples, seed):
     """The probe's random scan: (checks, first witness or None), one
-    `associator` per repeated-argument triple of `random_element` draws."""
+    `associator` per repeated-argument triple of `random_cd_element` draws."""
     rng = random.Random(seed)
     checks, witness = 0, None
     for _ in range(samples):
-        u, v = random_element(level, rng), random_element(level, rng)
+        u, v = random_cd_element(level, rng), random_cd_element(level, rng)
         for form, trip in (("[u,u,v]", (u, u, v)), ("[u,v,v]", (u, v, v)), ("[u,v,u]", (u, v, u))):
             checks += 1
             val = associator(*trip)

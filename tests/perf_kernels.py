@@ -7,13 +7,14 @@ with ``test_``); name it to run it:
     PYTHONPATH=src python -m pytest tests/perf_kernels.py --benchmark-only
 
 Each benchmark times one call on fixed seeded inputs: the product at
-levels 2 to 4, the cross product on Im O, the sedenion associator, a
-random point and tangent on S^6, the Nijenhuis tensor on S^6, the
-sampled J check with 250 samples on S^6 and on S^2, and the sedenion
-alternativity probe with 60 random samples, as the sphere-algebra
-benchmark workload runs them.  The sampler rows draw from
-one `random.Random` that advances between calls, as
-`verify_j_structure`'s loop does.  The genus rows time B_1..B_100 in
+levels 2 to 4, the cross product on Im O, the sedenion associator, the
+J check's integer draws of a point and a tangent on S^6, the Nijenhuis
+tensor on S^6, the sampled J check with 250 samples on S^6 and on S^2,
+and the sedenion alternativity probe with 60 random samples, as the
+sphere-algebra benchmark workload runs them, and with none, which times
+its basis scans alone.  The inputs come from the sampler oracles of
+`tests/oracles.py`.  The draw rows draw from one `random.Random` that
+advances between calls, as `verify_j_structure`'s loop does.  The genus rows time B_1..B_100 in
 ascending order, as `acstk bernoulli --k 100` asks for them,
 q_series(300), as `acstk series q --order 300` does, s_series(100), the
 generating series of the s_k, and L_1..L_7 and L_1..L_20 in ascending
@@ -34,46 +35,45 @@ from pathlib import Path
 import pytest
 
 from acstk import genera
-from acstk.cayley_dickson import associator, probe_alternative, random_element
+from acstk.cayley_dickson import associator, probe_alternative
 from acstk.genera import bernoulli, l_polynomial, q_series, s_series
-from acstk.sphere_acs import cross, nijenhuis, random_sphere_point, random_tangent, verify_j_structure
+from acstk.sphere_acs import _draw_point, _draw_tangent, cross, nijenhuis, verify_j_structure
 from acstk.symfun import newton_polynomial
+from oracles import random_cd_element, random_sphere_sample
 
 
 @pytest.mark.parametrize("level", [2, 3, 4])
 def test_product(benchmark, level):
     rng = random.Random(level)
-    a, b = random_element(level, rng), random_element(level, rng)
+    a, b = random_cd_element(level, rng), random_cd_element(level, rng)
     benchmark(a.__mul__, b)
 
 
 def test_cross_octonions(benchmark):
     rng = random.Random(5)
-    u, v = (random_element(3, rng, imaginary=True) for _ in range(2))
+    u, v = (random_cd_element(3, rng, imaginary=True) for _ in range(2))
     benchmark(cross, u, v)
 
 
 def test_associator_sedenions(benchmark):
     rng = random.Random(6)
-    u, v, w = (random_element(4, rng) for _ in range(3))
+    u, v, w = (random_cd_element(4, rng) for _ in range(3))
     benchmark(associator, u, v, w)
 
 
-def test_random_point_s6(benchmark):
+def test_draw_point_s6(benchmark):
     rng = random.Random(7)
-    benchmark(random_sphere_point, 6, rng)
+    benchmark(_draw_point, 6, rng)
 
 
-def test_random_tangent_s6(benchmark):
+def test_draw_tangent_s6(benchmark):
     rng = random.Random(8)
-    p = random_sphere_point(6, rng)
-    benchmark(random_tangent, p, rng)
+    p = _draw_point(6, rng)
+    benchmark(_draw_tangent, 3, p, rng)
 
 
 def test_nijenhuis_s6(benchmark):
-    rng = random.Random(9)
-    p = random_sphere_point(6, rng)
-    u, v = random_tangent(p, rng), random_tangent(p, rng)
+    p, u, v = random_sphere_sample(6, random.Random(9), 2)
     benchmark(nijenhuis, p, u, v)
 
 
@@ -82,8 +82,9 @@ def test_verify_j_structure_250(benchmark, sphere_dim):
     benchmark(verify_j_structure, sphere_dim, 250)
 
 
-def test_probe_alternative_sedenions(benchmark):
-    benchmark(probe_alternative, 4, samples=60)
+@pytest.mark.parametrize("samples", [60, 0])
+def test_probe_alternative_sedenions(benchmark, samples):
+    benchmark(probe_alternative, 4, samples=samples)
 
 
 def _cold_genera():

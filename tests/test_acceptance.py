@@ -14,7 +14,6 @@ from acstk.cayley_dickson import (
     associator,
     basis_product,
     probe_alternative,
-    random_element,
 )
 from acstk.char_class import replay_lemma_pontryagin_euler
 from acstk.classify import classify_range
@@ -23,8 +22,6 @@ from acstk.sphere_acs import (
     SpherePoint,
     TangentVector,
     nijenhuis,
-    random_sphere_point,
-    random_tangent,
     verify_j_structure,
 )
 from acstk.symfun import GradedPoly, newton_polynomial, power_sums_from_values
@@ -34,6 +31,8 @@ from oracles import (
     nijenhuis_fd,
     positive_bernoulli_oracle,
     power_sum,
+    random_cd_element,
+    random_sphere_sample,
     substitute,
     unit_poly,
 )
@@ -105,13 +104,11 @@ def test_criterion_5_nijenhuis_dichotomy():
     # flat side: 100 sampled triples on the 2-sphere, all exactly zero,
     # with antisymmetry and scaling holding exactly as well
     for _ in range(100):
-        p = random_sphere_point(2, rng)
-        u = random_tangent(p, rng)
-        v = random_tangent(p, rng)
+        p, u, v = random_sphere_sample(2, rng, 2)
         value = nijenhuis(p, u, v)
         assert not value
         assert nijenhuis(p, v, u) == -value
-        assert nijenhuis(p, u.scale(lam), v) == value * lam
+        assert nijenhuis(p, TangentVector(p, u.vector * lam), v) == value * lam
 
     # non-integrable side: the frozen witness plus sampled properties
     p6 = SpherePoint(CDElement.basis(3, 1))
@@ -122,12 +119,10 @@ def test_criterion_5_nijenhuis_dichotomy():
     assert nijenhuis_fd(p6, u6, v6) == witness
 
     for _ in range(6):
-        p = random_sphere_point(6, rng)
-        u = random_tangent(p, rng)
-        v = random_tangent(p, rng)
+        p, u, v = random_sphere_sample(6, rng, 2)
         value = nijenhuis(p, u, v)
         assert nijenhuis(p, v, u) == -value
-        assert nijenhuis(p, u.scale(lam), v) == value * lam
+        assert nijenhuis(p, TangentVector(p, u.vector * lam), v) == value * lam
         assert value.inner(p.vector) == 0
     _finish(5, "Nijenhuis dichotomy S^2 flat / S^6 witness", started, 30.0)
 
@@ -194,8 +189,8 @@ def test_criterion_8_algebra_property_suite():
                 a, b = CDElement.basis(level, i), CDElement.basis(level, j)
                 assert (a * b).norm_sq() == a.norm_sq() * b.norm_sq()
         for _ in range(25):
-            a = random_element(level, rng)
-            b = random_element(level, rng)
+            a = random_cd_element(level, rng)
+            b = random_cd_element(level, rng)
             assert (a * b).norm_sq() == a.norm_sq() * b.norm_sq()
 
     # alternating associator at level 3, exhaustively over basis triples
@@ -207,8 +202,8 @@ def test_criterion_8_algebra_property_suite():
             assert not associator(a, b, b)
             assert not associator(a, b, a)
     for _ in range(25):
-        u = random_element(3, rng)
-        v = random_element(3, rng)
+        u = random_cd_element(3, rng)
+        v = random_cd_element(3, rng)
         assert not associator(u, u, v)
         assert not associator(u, v, v)
 

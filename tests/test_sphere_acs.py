@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from acstk import sphere_acs
-from acstk.cayley_dickson import CDElement, random_element
+from acstk.cayley_dickson import CDElement
 from acstk.sphere_acs import (
+    SPHERE_LEVEL,
     AssociatorComparison,
     JVerificationReport,
     SpherePoint,
@@ -14,8 +15,6 @@ from acstk.sphere_acs import (
     cross,
     j_apply,
     nijenhuis,
-    random_sphere_point,
-    random_tangent,
     rational_sphere_point,
     tangent_projection,
     verify_j_structure,
@@ -24,7 +23,9 @@ from oracles import (
     lie_bracket,
     nijenhuis_fd,
     nijenhuis_symbolic,
+    random_cd_element,
     random_sphere_point_oracle,
+    random_sphere_sample,
     random_tangent_oracle,
     stereographic_oracle,
     unit_poly,
@@ -44,7 +45,7 @@ def test_cross_quaternion_table():
 def test_cross_is_alternating_and_imaginary_only():
     rng = random.Random(0)
     for level in (2, 3):
-        u = random_element(level, rng, imaginary=True)
+        u = random_cd_element(level, rng, imaginary=True)
         assert not cross(u, u)
     with pytest.raises(ValueError, match="imaginary"):
         cross(CDElement.one(2), E2(1))
@@ -56,15 +57,15 @@ def test_cross_matches_imaginary_part_of_product():
     rng = random.Random(13)
     for level in range(2, 6):
         for _ in range(10):
-            u, v = (random_element(level, rng, imaginary=True) for _ in range(2))
+            u, v = (random_cd_element(level, rng, imaginary=True) for _ in range(2))
             assert cross(u, v) == (u * v).imaginary_part()
 
 
 def test_cross_equals_product_on_orthogonal_imaginaries():
     rng = random.Random(1)
     for _ in range(50):
-        u = random_element(3, rng, imaginary=True)
-        v = random_element(3, rng, imaginary=True)
+        u = random_cd_element(3, rng, imaginary=True)
+        v = random_cd_element(3, rng, imaginary=True)
         if u.norm_sq() == 0:
             continue
         v = v - u * (u.inner(v) / u.norm_sq())
@@ -94,15 +95,16 @@ def test_rational_sphere_point():
 
 
 def test_random_samplers_match_fraction_oracles():
-    # same values and the same draws from the stream, which the verify-j
-    # reports and their seeds rest on
+    # the J check's integer draws: same values and the same draws from the
+    # stream, which the verify-j reports and their seeds rest on
     for seed in range(50):
         rng, ref = random.Random(seed), random.Random(seed)
-        for sphere_dim in (2, 6):
-            p = random_sphere_point(sphere_dim, rng)
+        for sphere_dim, level in SPHERE_LEVEL.items():
+            p = sphere_acs._draw_point(sphere_dim, rng)
             expected_p = random_sphere_point_oracle(sphere_dim, ref)
-            assert p.vector.coeffs == expected_p
-            assert random_tangent(p, rng).vector.coeffs == random_tangent_oracle(expected_p, ref)
+            assert CDElement._reduced(level, *p).coeffs == expected_p
+            v = sphere_acs._draw_tangent(level, p, rng)
+            assert CDElement._reduced(level, *v).coeffs == random_tangent_oracle(expected_p, ref)
             assert rng.getstate() == ref.getstate()
 
 
@@ -158,8 +160,7 @@ def test_j_squared_is_minus_identity_sampled():
     rng = random.Random(3)
     for sphere_dim in (2, 6):
         for _ in range(25):
-            p = random_sphere_point(sphere_dim, rng)
-            t = random_tangent(p, rng)
+            p, t = random_sphere_sample(sphere_dim, rng, 1)
             jt = j_apply(t)
             assert j_apply(jt).vector == -t.vector
             assert jt.vector.inner(p.vector) == 0
@@ -251,12 +252,10 @@ def test_verify_j_structure_checks_every_draw(monkeypatch):
 
 @pytest.mark.parametrize("sphere_dim", [2, 6])
 def test_verify_j_structure_example_is_the_first_public_draw(sphere_dim):
-    # the loop draws on numerator pairs; its example must be what the public
-    # samplers return as their first draws from the same seed
+    # the loop draws on numerator pairs; its example must be the first draws
+    # of the sampler oracles from the same seed
     for seed in (0, 1, 3, 42, 2**40 + 7):
-        rng = random.Random(seed)
-        p = random_sphere_point(sphere_dim, rng)
-        t = random_tangent(p, rng)
+        p, t = random_sphere_sample(sphere_dim, random.Random(seed), 1)
         for samples in (1, 5):
             report = verify_j_structure(sphere_dim, samples, seed)
             assert (report.example_point, report.example_tangent) == (p.vector, t.vector)
@@ -288,9 +287,7 @@ def test_nijenhuis_golden_witness_on_s6():
 def test_nijenhuis_vanishes_on_s2():
     rng = random.Random(4)
     for _ in range(25):
-        p = random_sphere_point(2, rng)
-        u = random_tangent(p, rng)
-        v = random_tangent(p, rng)
+        p, u, v = random_sphere_sample(2, rng, 2)
         value = nijenhuis(p, u, v)
         assert not value
         assert nijenhuis_fd(p, u, v) == value
@@ -300,21 +297,18 @@ def test_nijenhuis_vanishes_on_s2():
 def test_nijenhuis_antisymmetry_and_tensoriality_on_s6():
     rng = random.Random(5)
     for _ in range(4):
-        p = random_sphere_point(6, rng)
-        u = random_tangent(p, rng)
-        v = random_tangent(p, rng)
+        p, u, v = random_sphere_sample(6, rng, 2)
         value = nijenhuis(p, u, v)
         assert nijenhuis(p, v, u) == -value
         lam = Fraction(7, 3)
-        assert nijenhuis(p, u.scale(lam), v) == value * lam
+        assert nijenhuis(p, TangentVector(p, u.vector * lam), v) == value * lam
         assert nijenhuis_fd(p, u, v) == value
         assert value.inner(p.vector) == 0
 
 
 def test_nijenhuis_repeated_argument_vanishes():
     rng = random.Random(6)
-    p = random_sphere_point(6, rng)
-    u = random_tangent(p, rng)
+    p, u = random_sphere_sample(6, rng, 1)
     assert not nijenhuis(p, u, u)
 
 
@@ -329,10 +323,7 @@ def test_nijenhuis_base_mismatch():
 
 def test_compare_on_s2_both_sides_vanish():
     rng = random.Random(7)
-    p = random_sphere_point(2, rng)
-    u = random_tangent(p, rng)
-    v = random_tangent(p, rng)
-    w = random_tangent(p, rng)
+    p, u, v, w = random_sphere_sample(2, rng, 3)
     report = compare_nijenhuis_associator(p, u, v, w)
     assert report.pairing_with_w == 0
     assert not report.associator_value

@@ -8,6 +8,7 @@ import pkgutil
 import subprocess
 import sys
 import types
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -52,6 +53,12 @@ REMOVED = [
     "PowerSeries.__neg__",
     "PowerSeries.__mul__",
     "PowerSeries.__truediv__",
+    "random_element",
+    "random_sphere_point",
+    "random_tangent",
+    "CDElement.from_dict",
+    "TangentVector.scale",
+    "SphereVerdict.to_json",
 ]
 
 
@@ -159,6 +166,17 @@ def _has(obj, dotted: str) -> bool:
     return True
 
 
+def test_perf_kernels_still_collect():
+    # the default run does not collect tests/perf_kernels.py, so a name it
+    # imports could be removed without any other test failing
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider", "tests/perf_kernels.py"],
+        cwd=root, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 @pytest.mark.parametrize("name", REMOVED)
 def test_removed_names_are_gone(name):
     assert {"acstk.symfun", "acstk.char_class", "acstk.genera"} <= {m.__name__ for m in SUBMODULES}
@@ -172,12 +190,11 @@ CONSTRUCTORS = pytest.mark.parametrize(
     "build",
     [
         lambda c: CDElement(1, [c, 0]),
-        lambda c: CDElement.from_dict({"level": 1, "coeffs": [c, 0]}),
         lambda c: GradedPoly(("x",), (1,), {(1,): c}),
         lambda c: PowerSeries([c, 1]),
         lambda c: SphereCohomologyClass(2, c, 0),
     ],
-    ids=["CDElement", "CDElement.from_dict", "GradedPoly", "PowerSeries", "SphereCohomologyClass"],
+    ids=["CDElement", "GradedPoly", "PowerSeries", "SphereCohomologyClass"],
 )
 
 
@@ -198,6 +215,15 @@ def test_constructors_refuse_long_decimal_exponents(build):
             build(text)
     assert build("1e4300") == build(10**4300)
     assert build(" -2.5e-04_300 ") == build(Fraction(-25, 10**4301))
+
+
+@CONSTRUCTORS
+def test_constructors_refuse_decimals(build):
+    # Fraction(Decimal("1e99999999")) builds 10^99999999 before it returns,
+    # so a Decimal is refused as a type, before its exponent is expanded
+    for value in (Decimal("1e5000"), Decimal("0.1")):
+        with pytest.raises(TypeError, match="Decimal"):
+            build(value)
 
 
 def test_values_print_as_signed_sums():
