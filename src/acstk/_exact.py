@@ -23,11 +23,12 @@ def _frac(x) -> Fraction:
     """The exact rational an int, a Fraction or a string such as "-3/4"
     names.  A float is refused: it holds a binary approximation (0.1 is
     3602879701896397/36028797018963968), not the rational it was written as.
-    So is a decimal exponent above `_EXPONENT_MAX` in absolute value, and
-    its length is read before int() parses it.  Every other type raises
-    `TypeError`: `Fraction` would expand a `Decimal`'s exponent unchecked."""
-    if isinstance(x, float):
-        raise TypeError(f"coefficients must be exact rationals, got the float {x!r}")
+    So is a bool (an int subclass that names a flag, not a number) and a
+    decimal exponent above `_EXPONENT_MAX` in absolute value, whose length
+    is read before int() parses it.  Every other type raises `TypeError`:
+    `Fraction` would expand a `Decimal`'s exponent unchecked."""
+    if isinstance(x, (float, bool)):
+        raise TypeError(f"coefficients must be exact rationals, got the {type(x).__name__} {x!r}")
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):

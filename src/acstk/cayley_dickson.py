@@ -181,8 +181,8 @@ class CDElement(Record):
             self._check_level(other, "multiply")
             return CDElement._reduced(self.level, _kernel(self.level)(self.num, other.num), self.den * other.den)
         if isinstance(other, (int, Fraction)):
-            n = other.numerator
-            return CDElement._reduced(self.level, [a * n for a in self.num], self.den * other.denominator)
+            n, d = _frac(other).as_integer_ratio()
+            return CDElement._reduced(self.level, [a * n for a in self.num], self.den * d)
         return NotImplemented
 
     def __rmul__(self, other):

@@ -5,7 +5,7 @@ character.
 The Bernoulli numbers come from Brent and Harvey's integer triangle of
 tangent numbers (arXiv:1108.0286), the Q-series from them in closed form.  The
 L-polynomials are Hirzebruch's multiplicative sequence of Q, built
-directly in the Pontryagin classes p_1..p_k from log Q and the Newton
+directly in the Pontryagin classes p_1..p_k from the s_k and the Newton
 polynomials, one weight at a time on integer numerators, and each one is
 checked against the signature theorem on CP^{2k}.
 
@@ -175,27 +175,26 @@ def l_polynomial(k: int) -> GradedPoly:
     and the Newton polynomials nu_j(p), the weight-n part E_n = L_n of
     exp(sum_j a_j nu_j) obeys E_n = (1/n) sum_{j<=n} j a_j nu_j E_{n-j},
     E_0 = 1, so the step to weight k takes L_1..L_(k-1) from this cache.
-    The step runs on integers: every factor is a dict of integer numerators
-    over one denominator, and each monomial is one int key holding its
-    exponents in fields of k.bit_length() bits, so a product of monomials
-    is a sum of keys (no exponent exceeds k, so no field carries).  Checked
-    against the signature theorem on CP^{2k}: with p_j = C(2k+1, j) the
-    value of L_k must be sigma(CP^{2k}) = 1.
+    The j a_j are signed s_j: log Q(x^2) = log cosh x - log(sinh x / x)
+    has x-derivative 1/x - 2/sinh(2x), so sum_j j a_j z^j at z = x^2 is
+    (1 - 2x/sinh(2x))/2, 1 minus the real-sinh reading of :func:`s_series`
+    (z^j coefficient (-1)^j s_j), and j a_j = (-1)^(j-1) s_j.  The step
+    runs on integers: every factor is a dict of integer numerators over one
+    denominator, and each monomial is one int key holding its exponents in
+    fields of k.bit_length() bits, so a product of monomials is a sum of
+    keys (no exponent exceeds k, so no field carries).  Checked against the
+    signature theorem on CP^{2k}: with p_j = C(2k+1, j) the value of L_k
+    must be sigma(CP^{2k}) = 1.
     """
     if k < 1:
         raise ValueError(f"L-polynomials are indexed from 1, got {k}")
-    q = q_series(k).coeffs
-    # ja[j] = j * a_j from j a_j = j q_j - sum_{i<j} i a_i q_{j-i}
-    ja = [Fraction(0)]
-    for j in range(1, k + 1):
-        ja.append(j * q[j] - sum(ja[i] * q[j - i] for i in range(1, j)))
     width = k.bit_length()
     shifts = range(0, width * k, width)
     # (j a_j, nu_j, E_{k-j} and its denominator) for j = 1..k; nu_j is integral
     parts = []
     for j in range(1, k + 1):
         prev = _numerators(l_polynomial(k - j), shifts) if j < k else ({0: 1}, 1)
-        parts.append((ja[j], _numerators(newton_polynomial(j), shifts)[0], *prev))
+        parts.append(((-1) ** (j - 1) * s_coefficient(j), _numerators(newton_polynomial(j), shifts)[0], *prev))
     den = k * math.lcm(*(c.denominator * prev_den for c, _, _, prev_den in parts))
     acc: dict = {}
     for c, nu, prev, prev_den in parts:

@@ -31,14 +31,17 @@ at p needs only the 1-jets of its fields there,
 So [U, V](p) = -<v, u> p + <u, v> p = 0, [JU, JV](p) = (p x u) x v -
 (p x v) x u, and [JU, V](p) = -<v, p x u> p - v x u and [U, JV](p) =
 u x v + <u, p x v> p; as p x p = 0, J maps both of the last two to
-p x (u x v).  Hence the closed form
+p x (u x v).  Hence N(u, v) = (p x u) x v - (p x v) x u - 2 p x (u x v).
+At levels <= 3 only (the sedenions break it, e.g. at (e1, e10, e4)),
 
-    N(u, v) = (p x u) x v - (p x v) x u - 2 p x (u x v),
+    a x (b x c) + b x (a x c) = -2<a,b> c + <a,c> b + <b,c> a,  so
+    (p x u) x v = -v x (p x u) = 2<p,v> u - <u,v> p - <p,u> v - p x (u x v),
+    N(u, v) = 3<p,v> u - 3<p,u> v - 4 p x (u x v),
 
-six exact cross products, which all land over the denominator Dp Du Dv.
-No normalizing factor (such as 1/4) is applied; conventions only matter
-up to nonzero scale here and this one is fixed so frozen values stay
-stable.
+the second line minus its u <-> v swap, minus 2 p x (u x v): two cross
+products and two dot products, all landing over Dp Du Dv.  No normalizing
+factor (such as 1/4) is applied; conventions only matter up to nonzero
+scale here and this one is fixed so frozen values stay stable.
 """
 
 from __future__ import annotations
@@ -204,23 +207,20 @@ def tangent_projection(p: SpherePoint, w: CDElement) -> TangentVector:
 
 
 def nijenhuis(p: SpherePoint, u: TangentVector, v: TangentVector) -> CDElement:
-    """Exact Nijenhuis tensor value N(u, v) at p, in the closed form
-    (p x u) x v - (p x v) x u - 2 p x (u x v) of its 1-jet brackets (see
-    the module docstring for the derivation and sign conventions).  The
-    result is an imaginary element, exactly tangent at p; it vanishes
-    identically on S^2 and is nonzero for generic inputs on S^6.  All six
-    cross products run on numerators, and each of the three terms lands
-    over the same denominator Dp Du Dv, so the result is reduced once."""
+    """Exact Nijenhuis tensor value N(u, v) at p, in the two-product form
+    3<p,v> u - 3<p,u> v - 4 p x (u x v) of its 1-jet brackets (derivation,
+    valid on Im H and Im O, and sign conventions in the module docstring).
+    The result is an imaginary element, exactly tangent at p; it vanishes
+    identically on S^2 and is nonzero for generic inputs on S^6.  Both
+    cross and both dot products run on numerators, and every term lands
+    over Dp Du Dv, so the result is reduced once."""
     if u.base != p or v.base != p:
         raise ValueError("nijenhuis arguments must be tangent at the given point")
     level = p.vector.level
     pv, a, b = ((x.num, x.den) for x in (p.vector, u.vector, v.vector))
-    (first, den), (second, _), (third, _) = (
-        _cross(level, _cross(level, pv, a), b),
-        _cross(level, _cross(level, pv, b), a),
-        _cross(level, pv, _cross(level, a, b)),
-    )
-    return CDElement._reduced(level, [x - y - 2 * z for x, y, z in zip(first, second, third)], den)
+    pa, pb = (3 * sum(map(mul, pv[0], x[0])) for x in (a, b))
+    third, den = _cross(level, pv, _cross(level, a, b))
+    return CDElement._reduced(level, [pb * x - pa * y - 4 * z for x, y, z in zip(a[0], b[0], third)], den)
 
 
 class AssociatorComparison(Record):

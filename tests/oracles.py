@@ -15,13 +15,14 @@ oracle expands prod Q(b_i z), with Q from that quotient, in root
 variables and reduces it to the elementary basis by leading-term
 elimination instead of running the multiplicative sequence,
 a second L-polynomial oracle runs the multiplicative sequence on
-`GradedPoly` values with `Fraction` coefficients and Newton polynomials
-from the Newton recursion instead of on integer numerators with packed
-monomials and the Girard-Waring closed form, the Newton polynomials are
-checked against power sums of the roots by substituting elementary
-symmetric polynomials, one Nijenhuis oracle runs the closed form through
-six reduced public cross products instead of numerator products over one
-shared denominator, and two Nijenhuis
+`GradedPoly` values with `Fraction` coefficients, the coefficients of
+log Q from the log-Q recurrence on that quotient instead of the signed s_j,
+and Newton polynomials from the Newton recursion instead of on integer
+numerators with packed monomials and the Girard-Waring closed form, the
+Newton polynomials are checked against power sums of the roots by
+substituting elementary symmetric polynomials, one Nijenhuis oracle runs
+the six-product 1-jet form through reduced public cross products instead
+of the two-product form on numerators, and two Nijenhuis
 oracles evaluate the brackets of whole ambient vector fields instead of the
 closed form of their 1-jets: one differentiates them by exact finite
 differences (central differences with Richardson extrapolation are exact
@@ -35,7 +36,7 @@ from math import comb, factorial
 from typing import Mapping, Optional
 
 from acstk.cayley_dickson import AlternativityReport, CDElement, associator, basis_product
-from acstk.genera import PowerSeries, q_series
+from acstk.genera import PowerSeries
 from acstk.sphere_acs import SPHERE_LEVEL, SpherePoint, TangentVector, cross
 from acstk.symfun import GradedPoly, power_sums_from_values
 
@@ -236,6 +237,17 @@ def reciprocal_q_series(order: int) -> PowerSeries:
     return PowerSeries(q, order=order)
 
 
+def log_q_coefficients(k: int) -> list[Fraction]:
+    """j a_j for j = 0..k, where log Q(z) = sum a_j z^j, by the log-Q
+    recurrence j a_j = j q_j - sum_{i<j} i a_i q_(j-i) on the reciprocal
+    Q-series, so that no Bernoulli number is read."""
+    q = reciprocal_q_series(k).coeffs
+    ja = [Fraction(0)]
+    for j in range(1, k + 1):
+        ja.append(j * q[j] - sum(ja[i] * q[j - i] for i in range(1, j)))
+    return ja
+
+
 def reciprocal_bernoulli_oracle(k: int) -> Fraction:
     """The k-th positive Bernoulli number read off the reciprocal Q-series
     via q_k = (-1)^(k-1) 2^(2k)/(2k)! * B_k."""
@@ -433,19 +445,15 @@ def l_polynomial_in_roots(k: int, m: int) -> GradedPoly:
 def l_polynomial_graded_oracle(k: int) -> GradedPoly:
     """L_k by the multiplicative-sequence recursion
     E_n = (1/n) sum_{j<=n} j a_j nu_j E_{n-j} on `GradedPoly` values, with
-    nu_j from the Newton recursion on the generators p1..pk and
-    `Fraction` coefficients throughout, checked on CP^{2k}."""
+    j a_j from `log_q_coefficients`, nu_j from the Newton recursion on the
+    generators p1..pk and `Fraction` coefficients throughout, checked on
+    CP^{2k}."""
     gens = tuple(f"p{i}" for i in range(1, k + 1))
     weights = tuple(range(1, k + 1))
     zero = GradedPoly.zero(gens, weights)
     p = [GradedPoly.generator(gens, weights, g) for g in gens]
     nus = power_sums_from_values(p, k, zero)
-    q = q_series(k).coeffs
-    # ja[j] = j * a_j from j a_j = j q_j - sum_{i<j} i a_i q_{j-i}
-    ja = [Fraction(0)]
-    for j in range(1, k + 1):
-        ja.append(j * q[j] - sum(ja[i] * q[j - i] for i in range(1, j)))
-    ja_nus = [nu * c for nu, c in zip(nus, ja[1:])]
+    ja_nus = [nu * c for nu, c in zip(nus, log_q_coefficients(k)[1:])]
     e = [GradedPoly.constant(gens, weights, 1)]
     for n in range(1, k + 1):
         acc = zero
@@ -458,15 +466,21 @@ def l_polynomial_graded_oracle(k: int) -> GradedPoly:
 
 
 # ----------------------------------------------------------------------
-# Nijenhuis tensor in its closed form through six public cross products
+# Nijenhuis tensor in its 1-jet and two-product forms through public cross
+# products, on imaginary elements of any level
 
 
-def nijenhuis_closed_form(p, u, v) -> CDElement:
-    """(p x u) x v - (p x v) x u - 2 p x (u x v) with each cross product a
-    reduced `CDElement` from the public `cross`, instead of six unreduced
-    numerator products over one shared denominator."""
-    pv, a, b = p.vector, u.vector, v.vector
-    return cross(cross(pv, a), b) - cross(cross(pv, b), a) - cross(pv, cross(a, b)) * 2
+def nijenhuis_six_products(p, u, v) -> CDElement:
+    """The 1-jet form (p x u) x v - (p x v) x u - 2 p x (u x v), with each
+    cross product a reduced `CDElement` from the public `cross`."""
+    return cross(cross(p, u), v) - cross(cross(p, v), u) - cross(p, cross(u, v)) * 2
+
+
+def nijenhuis_two_products(p, u, v, coeffs=(3, -3, -4)) -> CDElement:
+    """a<p,v> u + b<p,u> v + c p x (u x v) for coeffs (a, b, c); the default
+    is the two-product form, which equals the 1-jet form at levels <= 3."""
+    a, b, c = coeffs
+    return u * (a * p.inner(v)) + v * (b * p.inner(u)) + cross(p, cross(u, v)) * c
 
 
 # ----------------------------------------------------------------------

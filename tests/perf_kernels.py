@@ -20,9 +20,9 @@ q_series(300), as `acstk series q --order 300` does, s_series(100), the
 generating series of the s_k, and L_1..L_7 and L_1..L_20 in ascending
 order, as `acstk lpoly --k 7` and `--k 20` do.
 Every genus row starts cold: the `l_polynomial`, `newton_polynomial`,
-`q_series` and `bernoulli` caches and the tangent-number table are emptied
-before each round.  The start-up rows time a fresh interpreter running
-`import acstk`, as the benchmark's `setup_s` does, and
+`q_series`, `s_coefficient` and `bernoulli` caches and the tangent-number
+table are emptied before each round.  The start-up rows time a fresh
+interpreter running `import acstk`, as the benchmark's `setup_s` does, and
 `from acstk import CDElement`, which loads one layer.
 """
 
@@ -36,7 +36,7 @@ import pytest
 
 from acstk import genera
 from acstk.cayley_dickson import associator, probe_alternative
-from acstk.genera import bernoulli, l_polynomial, q_series, s_series
+from acstk.genera import bernoulli, l_polynomial, q_series, s_coefficient, s_series
 from acstk.sphere_acs import _draw_point, _draw_tangent, cross, nijenhuis, verify_j_structure
 from acstk.symfun import newton_polynomial
 from oracles import random_cd_element, random_sphere_sample
@@ -88,7 +88,7 @@ def test_probe_alternative_sedenions(benchmark, samples):
 
 
 def _cold_genera():
-    for cached in (bernoulli, q_series, l_polynomial, newton_polynomial):
+    for cached in (bernoulli, q_series, s_coefficient, l_polynomial, newton_polynomial):
         cached.cache_clear()
     genera._TANGENT.clear()
     genera._TANGENT_COLUMN.clear()

@@ -22,6 +22,7 @@ from acstk.symfun import GradedPoly, newton_polynomial
 from oracles import (
     l_polynomial_graded_oracle,
     l_polynomial_in_roots,
+    log_q_coefficients,
     positive_bernoulli_oracle,
     reciprocal_bernoulli_oracle,
     reciprocal_q_series,
@@ -184,15 +185,49 @@ def test_l_polynomial_signature_of_complex_projective_space():
 
 
 def test_l_polynomial_self_check_fires(monkeypatch):
-    # a wrong Q-series gives a wrong L_3, which the CP^6 check must catch
-    wrong = PowerSeries([1, Fraction(1, 3), Fraction(-1, 45), 0])
-    monkeypatch.setattr(genera, "q_series", lambda order: PowerSeries(wrong.coeffs, order=order))
+    # a wrong s_3 gives a wrong L_3, which the CP^6 check must catch
+    real = genera.s_coefficient
+    monkeypatch.setattr(genera, "s_coefficient", lambda j: 0 if j == 3 else real(j))
     l_polynomial.cache_clear()
     try:
         with pytest.raises(InternalInvariantError, match="CP\\^6"):
             l_polynomial(3)
     finally:
         l_polynomial.cache_clear()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_l_polynomial_sign_flipped_step_is_caught(monkeypatch, k):
+    # the step read as (-1)^j s_j in place of (-1)^(j-1) s_j negates every
+    # j a_j, so L_1 = -p1/3 and the CP^2 check fires on the way to L_k
+    real = genera.s_coefficient
+    monkeypatch.setattr(genera, "s_coefficient", lambda j: -real(j))
+    l_polynomial.cache_clear()
+    try:
+        with pytest.raises(InternalInvariantError, match="CP\\^2,"):
+            l_polynomial(k)
+    finally:
+        l_polynomial.cache_clear()
+
+
+def test_l_polynomial_reads_no_q_series(monkeypatch):
+    def refuse(order):
+        raise AssertionError(f"q_series({order}) called")
+
+    monkeypatch.setattr(genera, "q_series", refuse)
+    for cached in (l_polynomial, s_coefficient, bernoulli, newton_polynomial):
+        cached.cache_clear()
+    try:
+        assert [l_polynomial(k) for k in range(1, 8)] == [l_polynomial_graded_oracle(k) for k in range(1, 8)]
+    finally:
+        l_polynomial.cache_clear()
+
+
+def test_log_q_recurrence_gives_the_signed_s_coefficients():
+    # log Q(x^2) = log cosh x - log(sinh x / x), so j a_j = (-1)^(j-1) s_j
+    ja = log_q_coefficients(60)
+    assert ja[0] == 0
+    assert all(ja[j] == (-1) ** (j - 1) * s_coefficient(j) for j in range(1, 61))
 
 
 def test_l_polynomial_homogeneity_and_positivity():

@@ -31,8 +31,8 @@ from oracles import (
     coeff_scale,
     coeff_sub,
     doubling_product,
-    nijenhuis_closed_form,
     nijenhuis_fd,
+    nijenhuis_six_products,
     nijenhuis_symbolic,
 )
 
@@ -155,7 +155,7 @@ def test_nijenhuis_is_antisymmetric_and_tangent(frame):
 def test_nijenhuis_matches_both_oracles(sphere_dim, data):
     frame = data.draw(frames(sphere_dim))
     value = nijenhuis(*frame)
-    assert value == nijenhuis_closed_form(*frame)
+    assert value == nijenhuis_six_products(*(x.vector for x in frame))
     assert value == nijenhuis_fd(*frame)
     assert value == nijenhuis_symbolic(*frame)
     if sphere_dim == 2:

@@ -22,7 +22,9 @@ from acstk.sphere_acs import (
 from oracles import (
     lie_bracket,
     nijenhuis_fd,
+    nijenhuis_six_products,
     nijenhuis_symbolic,
+    nijenhuis_two_products,
     random_cd_element,
     random_sphere_point_oracle,
     random_sphere_sample,
@@ -319,6 +321,43 @@ def test_nijenhuis_base_mismatch():
     v = TangentVector(q, E3(1))
     with pytest.raises(ValueError, match="tangent at the given point"):
         nijenhuis(p, u, v)
+
+
+def test_nijenhuis_makes_two_cross_products(monkeypatch):
+    frames = [random_sphere_sample(dim, random.Random(dim), 2) for dim in (2, 6)]
+    real, calls = sphere_acs._cross, []
+
+    def counting(level, a, b):
+        calls.append(level)
+        return real(level, a, b)
+
+    monkeypatch.setattr(sphere_acs, "_cross", counting)
+    for frame in frames:
+        calls.clear()
+        nijenhuis(*frame)
+        assert len(calls) == 2
+
+
+def test_nijenhuis_refutes_a_wrong_coefficient_tuple():
+    # (3, -3, -3) differs from the two-product form in the p x (u x v) term only
+    p, u, v = random_sphere_sample(6, random.Random(10), 2)
+    vectors = p.vector, u.vector, v.vector
+    value = nijenhuis(p, u, v)
+    assert value and value == nijenhuis_two_products(*vectors)
+    assert value != nijenhuis_two_products(*vectors, coeffs=(3, -3, -3))
+
+
+@pytest.mark.parametrize("level", [2, 3, 4])
+def test_two_and_six_product_forms_agree_below_the_sedenions(level):
+    # the step between the forms is an identity of Im H and Im O only, so it
+    # holds on arbitrary imaginary triples, tangent or not, at levels 2 and 3
+    rng = random.Random(level)
+    for _ in range(30):
+        p, u, v = (random_cd_element(level, rng, imaginary=True) for _ in range(3))
+        assert (nijenhuis_two_products(p, u, v) == nijenhuis_six_products(p, u, v)) == (level < 4)
+    if level == 4:
+        e1, e10, e4, e15 = (CDElement.basis(4, i) for i in (1, 10, 4, 15))
+        assert (nijenhuis_six_products(e1, e10, e4), nijenhuis_two_products(e1, e10, e4)) == (e15 * 2, e15 * 4)
 
 
 def test_compare_on_s2_both_sides_vanish():

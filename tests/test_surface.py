@@ -226,6 +226,27 @@ def test_constructors_refuse_decimals(build):
             build(value)
 
 
+@CONSTRUCTORS
+def test_constructors_refuse_bools(build):
+    # bool subclasses int, so without a check True would read as 1
+    for flag in (True, False):
+        with pytest.raises(TypeError, match="bool"):
+            build(flag)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [CDElement(1, [1, 2]), GradedPoly(("x",), (1,), {(1,): 1}), SphereCohomologyClass(2, 1, 1)],
+    ids=["CDElement", "GradedPoly", "SphereCohomologyClass"],
+)
+def test_scalar_products_refuse_bools(value):
+    assert value * 1 == 1 * value == value
+    with pytest.raises(TypeError, match="bool"):
+        value * True
+    with pytest.raises(TypeError, match="bool"):
+        False * value
+
+
 def test_values_print_as_signed_sums():
     half = Fraction(-1, 2)
     assert str(CDElement(2, [-1, 1, -1, half])) == "-1 + e1 - e2 - 1/2*e3"
