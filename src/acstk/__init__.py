@@ -15,11 +15,11 @@ module that defines it on first use (PEP 562), so a program that needs
 one layer pays only for that layer.
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 #: The exported names, by the layer module that defines them.
 _EXPORTS = {
-    "cayley_dickson": ("CDElement", "associator", "basis_product", "embed", "probe_alternative"),
+    "cayley_dickson": ("CDElement", "associator", "basis_product", "probe_alternative"),
     "char_class": ("SphereCohomologyClass", "replay_lemma_pontryagin_euler"),
     "classify": ("SphereVerdict", "classify_range", "classify_sphere"),
     "errors": ("InternalInvariantError",),

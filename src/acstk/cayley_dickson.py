@@ -70,8 +70,7 @@ class CDElement(Record):
     the zero element is (0, ..., 0)/1 and equal values have equal fields.
     `coeffs`, the same value as a tuple of `Fraction`s, is built on first
     access.  Coefficient 0 is the real part.  Elements are immutable.
-    Arithmetic between different levels is rejected; use :func:`embed` for
-    an explicit zero-padded inclusion.
+    Arithmetic between different levels is rejected.
     """
 
     level: int
@@ -237,17 +236,6 @@ def associator(u: CDElement, v: CDElement, w: CDElement) -> CDElement:
     left = product(product(u.num, v.num), w.num)
     right = product(u.num, product(v.num, w.num))
     return CDElement._reduced(level, [x - y for x, y in zip(left, right)], u.den * v.den * w.den)
-
-
-def embed(a: CDElement, target_level: int) -> CDElement:
-    """Zero-padded inclusion into a higher level (explicit, never implicit)."""
-    _check_level_cap(target_level)
-    if target_level < a.level:
-        raise ValueError(
-            f"cannot embed a level-{a.level} element into level {target_level}"
-        )
-    pad = (0,) * ((1 << target_level) - len(a.num))
-    return CDElement._reduced(target_level, a.num + pad, a.den)
 
 
 @lru_cache(maxsize=None)

@@ -155,7 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "assoc-compare",
-        help="report <N(u,v), w> next to the associator [u,v,w] (no relation asserted)",
+        help="check N(u,v) = 2[p,u,v] (exit 3 if not), then report <N(u,v), w> next to the associator [u,v,w]",
         epilog=rational_cap,
     )
     p.add_argument("--sphere", type=int, choices=[2, 6], required=True)
@@ -277,8 +277,6 @@ def _cmd_assoc_compare(args) -> int:
     else:
         print(f"<N(u,v), w>    = {report.pairing_with_w}")
         print(f"[u, v, w]      = {report.associator_value}")
-        print(f"Re [u, v, w]   = {report.associator_real_part}")
-        print(f"ratio          = {report.ratio if report.ratio is not None else 'n/a'}")
     return 0
 
 

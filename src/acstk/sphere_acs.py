@@ -42,6 +42,16 @@ the second line minus its u <-> v swap, minus 2 p x (u x v): two cross
 products and two dot products, all landing over Dp Du Dv.  No normalizing
 factor (such as 1/4) is applied; conventions only matter up to nonzero
 scale here and this one is fixed so frozen values stay stable.
+
+With the same identity, for all imaginary p, u, v at levels 2 and 3,
+
+    N(p; u, v) = <p,u> v - <p,v> u + 2 [p, u, v],
+
+both sides trilinear and equal on every imaginary basis triple, so for u
+and v tangent at p the tensor is twice the associator, N(u, v) =
+2 [p, u, v] (Harvey-Lawson, "Calibrated geometries", 1982, IV.1).
+`compare_nijenhuis_associator` checks this third form of N, computed
+through the doubling product instead of `_cross`, on every call.
 """
 
 from __future__ import annotations
@@ -54,6 +64,7 @@ from typing import Optional, Sequence
 from ._exact import _frac, _over_common_denominator
 from ._record import Record
 from .cayley_dickson import CDElement, _kernel, _random_pairs, associator
+from .errors import InternalInvariantError
 
 #: sphere dimension -> level of the ambient doubling algebra
 SPHERE_LEVEL = {2: 2, 6: 3}
@@ -224,20 +235,16 @@ def nijenhuis(p: SpherePoint, u: TangentVector, v: TangentVector) -> CDElement:
 
 
 class AssociatorComparison(Record):
-    """Side-by-side data for <N(u,v), w> against the associator [u,v,w].
-
-    Purely an exploration instrument: no relation between the two is
-    asserted.  `ratio` is populated only in the (never yet observed)
-    event that the associator is a nonzero real scalar while the pairing
-    is nonzero.
+    """<N(u,v), w> beside the associator [u,v,w], for tangent vectors u, v
+    and w at p, from a call that found N(u,v) = 2 [p,u,v].  On S^2 every
+    field but `sphere_dim` is 0.  No basis associator has a real part at
+    levels 0 to 5, so [u,v,w] is imaginary and has no real part to report.
     """
 
     sphere_dim: int
     nijenhuis_value: CDElement
     pairing_with_w: Fraction
     associator_value: CDElement
-    associator_real_part: Fraction
-    ratio: Optional[Fraction]
 
     def as_dict(self) -> dict:
         return {
@@ -245,25 +252,23 @@ class AssociatorComparison(Record):
             "nijenhuis": self.nijenhuis_value.as_dict(),
             "pairing_with_w": str(self.pairing_with_w),
             "associator": self.associator_value.as_dict(),
-            "associator_real_part": str(self.associator_real_part),
-            "ratio": None if self.ratio is None else str(self.ratio),
         }
 
 
 def compare_nijenhuis_associator(
     p: SpherePoint, u: TangentVector, v: TangentVector, w: TangentVector
 ) -> AssociatorComparison:
-    """Evaluate <N(u,v), w> and [u,v,w] for tangent vectors at p."""
+    """Evaluate <N(u,v), w> and [u,v,w] for tangent vectors at p, after
+    checking N(u,v) = 2 [p,u,v] (see the module docstring).  A mismatch
+    raises `InternalInvariantError`: the identity is proved on S^2 and S^6,
+    so it can fail only through a fault in the tensor or the product."""
     if w.base != p:
         raise ValueError("comparison arguments must be tangent at the given point")
     n = nijenhuis(p, u, v)
-    pairing = n.inner(w.vector)
-    assoc = associator(u.vector, v.vector, w.vector)
-    real = assoc.real_part()
-    ratio = None
-    if pairing != 0 and real != 0 and not assoc.imaginary_part():
-        ratio = pairing / real
-    return AssociatorComparison(p.sphere_dim, n, pairing, assoc, real, ratio)
+    twice = associator(p.vector, u.vector, v.vector) * 2
+    if n != twice:
+        raise InternalInvariantError(f"N(u, v) = {n} differs from 2 [p, u, v] = {twice}")
+    return AssociatorComparison(p.sphere_dim, n, n.inner(w.vector), associator(u.vector, v.vector, w.vector))
 
 
 class JVerificationReport(Record):

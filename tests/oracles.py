@@ -82,10 +82,6 @@ def coeff_imaginary(a):
     return (Fraction(0),) + tuple(a[1:])
 
 
-def coeff_embed(a, level):
-    return tuple(a) + (Fraction(0),) * ((1 << level) - len(a))
-
-
 def doubling_product(a, b):
     """The doubling formula on coefficient tuples of length 2^n:
     (a1, a2)(b1, b2) = (a1 b1 - conj(b2) a2, b2 a1 + a2 conj(b1))."""

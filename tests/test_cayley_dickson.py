@@ -16,7 +16,6 @@ from acstk.cayley_dickson import (
     _random_pairs,
     associator,
     basis_product,
-    embed,
     probe_alternative,
 )
 from acstk.sphere_acs import cross
@@ -349,18 +348,6 @@ def test_probe_refuses_negative_samples():
         probe_alternative(4, samples=-3)
 
 
-def test_embed():
-    a = CDElement(2, (1, 2, 3, 4))
-    b = embed(a, 3)
-    assert b.level == 3
-    assert b.coeffs[:4] == a.coeffs and not any(b.coeffs[4:])
-    with pytest.raises(ValueError):
-        embed(b, 2)
-    # no implicit coercion
-    with pytest.raises(ValueError):
-        a + b
-
-
 def test_serialization_round_trip():
     a = CDElement(2, (Fraction(1, 2), Fraction(-2, 4), 3, 0))
     data = a.as_dict()
@@ -391,9 +378,8 @@ def test_coefficient_validation():
         CDElement.one,
         lambda n: CDElement.scalar(n, 3),
         lambda n: CDElement.basis(n, 1),
-        lambda n: embed(CDElement.one(2), n),
     ],
-    ids=["init", "zero", "one", "scalar", "basis", "embed"],
+    ids=["init", "zero", "one", "scalar", "basis"],
 )
 def test_levels_above_the_cap_are_refused_before_compiling(build):
     top = build(LEVEL_CAP)
@@ -440,7 +426,7 @@ def _same_value_by_every_route():
         CDElement(2, (1, 0, 0, 1)) - CDElement(2, (half, Fraction(3, 4), 0, 1)),
         quarter * CDElement(2, (2, -3, 0, 0)),
         CDElement(2, (4, -6, 0, 0)) * Fraction(1, 8),
-        embed(CDElement(1, (half, Fraction(-3, 4))), 2),
+        CDElement(2, (*CDElement(1, (half, Fraction(-3, 4))).coeffs, 0, 0)),
         -CDElement(2, (-half, Fraction(3, 4), 0, 0)),
         CDElement(2, (half, Fraction(3, 4), 0, 0)).conjugate(),
     ]
@@ -453,7 +439,7 @@ def _same_value_by_every_route():
         a * CDElement.zero(2),
         a + -a,
         CDElement.one(2).imaginary_part(),
-        embed(CDElement.zero(1), 2),
+        CDElement(2, (*CDElement.zero(1).coeffs, 0, 0)),
     ]
     return target, zeros
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -204,7 +205,33 @@ def test_assoc_compare(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["pairing_with_w"] == "4"
-    assert data["associator_real_part"] == "0"
+    assert set(data) == {"sphere", "nijenhuis", "pairing_with_w", "associator"}
+
+
+def test_assoc_compare_text_on_s2_reads_zero_on_both_sides(capsys):
+    code, out, _ = run(
+        capsys,
+        "assoc-compare", "--sphere", "2", "--point", "1/2,3",
+        "--u", "1,0,0", "--v", "0,1/3,0", "--w", "2,-1,5",
+    )
+    assert code == 0
+    assert out == "<N(u,v), w>    = 0\n[u, v, w]      = 0\n"
+
+
+@pytest.mark.parametrize("factor", [1, -2])
+def test_assoc_compare_exits_3_on_a_wrong_factor(capsys, monkeypatch, factor):
+    from acstk import sphere_acs
+    from acstk.cayley_dickson import associator
+
+    # the check then compares N(u, v) with factor * [p, u, v]
+    monkeypatch.setattr(sphere_acs, "associator", lambda *x: associator(*x) * Fraction(factor, 2))
+    code, out, err = run(
+        capsys,
+        "assoc-compare", "--sphere", "6", "--point", "1,0,0,0,0,0",
+        "--u", "0,1,0,0,0,0,0", "--v", "0,0,0,1,0,0,0", "--w", "0,0,0,0,0,0,1",
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("internal invariant violation: N(u, v) = 4*e7 differs from 2 [p, u, v]")
 
 
 def test_bad_vector_input(capsys):
@@ -284,11 +311,19 @@ def test_argparse_rejects_unknown_sphere(capsys):
                 "--u", "0,1,0,2,-1,0,1", "--v", "1,0,1,0,0,-3,1/2",
                 "--w", "0,0,1,1,1,0,-2", "--json",
             ),
-            "09f2656a86148738139f599418354fe81d41b9f81e0e4709d0b0b64b5e887309",
+            "cff3e119f13f3db6e424c3dd5ef42ddc7edf537198684ef436c16ccef32d86ab",
         ),
         (
             ("classify", "--range", "1..200"),
             "64d072d946e6c7d4a0a8f43dbf269adc9ca1df00322b818876b1c88ea49fcb0f",
+        ),
+        (
+            (
+                "assoc-compare", "--sphere", "6", "--point", "2,0,-1/3,1,0,1/4",
+                "--u", "0,1,0,2,-1,0,1", "--v", "1,0,1,0,0,-3,1/2",
+                "--w", "0,0,1,1,1,0,-2",
+            ),
+            "b30e776bfe482de1d39b69b32ac709c6446e405507b752b470ad52ef145a754a",
         ),
     ],
 )

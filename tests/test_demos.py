@@ -13,7 +13,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # deliberate and update this table
 STDOUT_SHA256 = {
     "01_cayley_dickson_tour.py": "16f7b77c413159e663fc07a2e6ebde7b4aafd998ee7e66deb18c6aed034c7727",
-    "02_sphere_j_and_nijenhuis.py": "d0d821f2a5ea19becb9a361f2550ab010a7bead9dd90f9366c2cddb4f0f31ded",
+    "02_sphere_j_and_nijenhuis.py": "5bc0055c3a2cf0b6deba74724584de3e24182fd1be751ce2a7f38a04d89a81a3",
     "03_l_polynomials_and_bernoulli.py": "c6616ad470a53cf19cbf8c2f76ec0e8c999655cb65f189f58e778d1d44e98cf1",
     "04_chern_character_and_newton.py": "ab8c0795fe1428b7829a615abdfe9cc6ab719c7d57bdb125c3ba49366c0f2431",
     "05_classify_all_spheres.py": "f1e68a39bef683e70257d8fd5114615e68410ccfe667cf1673638a2d0b6f779e",

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acstk.cayley_dickson import CDElement, embed
+from acstk.cayley_dickson import CDElement
 from acstk.sphere_acs import (
     SPHERE_LEVEL,
     j_apply,
@@ -24,7 +24,6 @@ from acstk.sphere_acs import (
 from oracles import (
     coeff_add,
     coeff_conjugate,
-    coeff_embed,
     coeff_imaginary,
     coeff_inner,
     coeff_neg,
@@ -100,8 +99,6 @@ def test_vector_operations_match_per_coefficient_arithmetic(pair, q):
         (a.imaginary_part(), coeff_imaginary(ca)),
         (a * b, doubling_product(ca, cb)),
     ]
-    for level in range(a.level, 5):
-        results.append((embed(a, level), coeff_embed(ca, level)))
     for value, expected in results:
         assert_canonical(value, len(expected).bit_length() - 1)
         assert value.coeffs == expected

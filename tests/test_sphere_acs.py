@@ -1,10 +1,12 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from acstk import sphere_acs
-from acstk.cayley_dickson import CDElement
+from acstk.cayley_dickson import CDElement, associator, basis_product
+from acstk.errors import InternalInvariantError
 from acstk.sphere_acs import (
     SPHERE_LEVEL,
     AssociatorComparison,
@@ -365,8 +367,7 @@ def test_compare_on_s2_both_sides_vanish():
     p, u, v, w = random_sphere_sample(2, rng, 3)
     report = compare_nijenhuis_associator(p, u, v, w)
     assert report.pairing_with_w == 0
-    assert not report.associator_value
-    assert report.ratio is None
+    assert not report.nijenhuis_value and not report.associator_value
 
 
 def test_compare_on_s6_reports_concrete_rationals():
@@ -377,12 +378,13 @@ def test_compare_on_s6_reports_concrete_rationals():
     report = compare_nijenhuis_associator(p, u, v, w)
     assert report.pairing_with_w == 0
     assert report.associator_value == E3(5) * -2
-    assert report.associator_real_part == 0
     # pairing against e7 picks up the golden witness
     report7 = compare_nijenhuis_associator(p, u, v, TangentVector(p, E3(7)))
     assert report7.pairing_with_w == 4
     data = report7.as_dict()
     assert data["sphere"] == 6 and data["pairing_with_w"] == "4"
+    assert set(data) == {"sphere", "nijenhuis", "pairing_with_w", "associator"}
+    assert report7.nijenhuis_value == associator(E3(1), E3(2), E3(4)) * 2 == E3(7) * 4
 
 
 def test_compare_repeated_argument():
@@ -392,6 +394,60 @@ def test_compare_repeated_argument():
     report = compare_nijenhuis_associator(p, u, u, w)
     assert report.pairing_with_w == 0
     assert not report.associator_value
+
+
+@pytest.mark.parametrize("level, failures", [(2, 0), (3, 0), (4, 672)])
+def test_nijenhuis_is_twice_the_associator_off_the_sphere(level, failures):
+    # N(p; u, v) = <p,u> v - <p,v> u + 2 [p,u,v]: both sides are trilinear, so
+    # agreement on every imaginary basis triple proves it at levels 2 and 3
+    basis = [CDElement.basis(level, i) for i in range(1, 1 << level)]
+    for form in (nijenhuis_two_products, nijenhuis_six_products):
+        missed = 0
+        for p, u, v in itertools.product(basis, repeat=3):
+            missed += form(p, u, v) != v * p.inner(u) - u * p.inner(v) + associator(p, u, v) * 2
+        assert missed == failures, form.__name__
+
+
+@pytest.mark.parametrize("level, nonzero", [(0, 0), (1, 0), (2, 0), (3, 168), (4, 1848), (5, 15960)])
+def test_basis_associators_have_no_real_part(level, nonzero):
+    # [e_a, e_b, e_c] = (e_a e_b) e_c - e_a (e_b e_c), read off the structure
+    # constants: both terms land on e_{a^b^c}, so the real part can only come
+    # from a^b^c = 0, where the two signs must then agree
+    seen = 0
+    for a, b, c in itertools.product(range(1 << level), repeat=3):
+        s1, ab = basis_product(level, a, b)
+        s2, left = basis_product(level, ab, c)
+        s3, bc = basis_product(level, b, c)
+        s4, right = basis_product(level, a, bc)
+        assert left == right == a ^ b ^ c
+        assert left or s1 * s2 == s3 * s4, (a, b, c)
+        seen += s1 * s2 != s3 * s4
+    assert seen == nonzero
+
+
+@pytest.mark.parametrize("sphere_dim, nonzero", [(2, 0), (6, 168)])
+def test_compare_holds_on_every_tangent_basis_triple(sphere_dim, nonzero):
+    # at p = e_a on S^6, N(e_b, e_c) = 2[e_a, e_b, e_c] is 0 only for e_c = e_b or +-e_a e_b
+    level = SPHERE_LEVEL[sphere_dim]
+    units = range(1, 1 << level)
+    seen = 0
+    for a in units:
+        p = SpherePoint(CDElement.basis(level, a))
+        tangent = [TangentVector(p, CDElement.basis(level, i)) for i in units if i != a]
+        for u in tangent:
+            for v in tangent:
+                seen += bool(compare_nijenhuis_associator(p, u, v, tangent[0]).nijenhuis_value)
+    assert seen == nonzero
+
+
+@pytest.mark.parametrize("factor", [1, -2])
+def test_compare_refuses_a_wrong_factor(monkeypatch, factor):
+    # scaling the associator by factor/2 makes the check compare N with factor*[p,u,v]
+    p, u, v, w = random_sphere_sample(6, random.Random(11), 3)
+    assert compare_nijenhuis_associator(p, u, v, w).nijenhuis_value
+    monkeypatch.setattr(sphere_acs, "associator", lambda *x: associator(*x) * Fraction(factor, 2))
+    with pytest.raises(InternalInvariantError, match=r"differs from 2 \[p, u, v\]"):
+        compare_nijenhuis_associator(p, u, v, w)
 
 
 def _level1_repr(a, b):
@@ -437,13 +493,10 @@ _HALF_E2_REPR = "CDElement(level=2, coeffs=(Fraction(0, 1), Fraction(0, 1), Frac
                 nijenhuis_value=CDElement(1, (0, 4)),
                 pairing_with_w=Fraction(-1, 2),
                 associator_value=CDElement(1, (3, 0)),
-                associator_real_part=Fraction(3),
-                ratio=None,
             ),
             f"AssociatorComparison(sphere_dim=6, nijenhuis_value={_level1_repr(0, 4)}, "
             "pairing_with_w=Fraction(-1, 2), "
-            f"associator_value={_level1_repr(3, 0)}, "
-            "associator_real_part=Fraction(3, 1), ratio=None)",
+            f"associator_value={_level1_repr(3, 0)})",
             None,
             [],
         ),

@@ -59,6 +59,9 @@ REMOVED = [
     "CDElement.from_dict",
     "TangentVector.scale",
     "SphereVerdict.to_json",
+    "embed",
+    "AssociatorComparison.ratio",
+    "AssociatorComparison.associator_real_part",
 ]
 
 
@@ -104,13 +107,15 @@ def _sphere_algebra_imports() -> str:
 
 
 def test_one_name_loads_its_own_layer_only():
-    # the layers below the polynomial one take their rationals from acstk._exact
+    # the layers below the polynomial one take their rationals from acstk._exact;
+    # sphere_acs raises the 7-line acstk.errors when N(u,v) = 2[p,u,v] fails
     exact = {"acstk", "acstk._exact", "acstk._record", "acstk.cayley_dickson"}
+    sphere = exact | {"acstk.errors", "acstk.sphere_acs"}
     for statement, layers in [
         ("from acstk import CDElement", exact),
-        ("from acstk import nijenhuis", exact | {"acstk.sphere_acs"}),
+        ("from acstk import nijenhuis", sphere),
         ("from acstk import SphereCohomologyClass", {"acstk", "acstk._exact", "acstk._record", "acstk.char_class"}),
-        (_sphere_algebra_imports(), exact | {"acstk.sphere_acs"}),
+        (_sphere_algebra_imports(), sphere),
     ]:
         added = {m for m in _added_by(statement) if m.split(".")[0] == "acstk"}
         assert added == layers, statement
@@ -159,7 +164,11 @@ def test_star_import_binds_every_export():
 
 
 def _has(obj, dotted: str) -> bool:
+    """Whether `obj` reaches `dotted`, counting the fields of a `Record`
+    class: a field without a default is no class attribute."""
     for part in dotted.split("."):
+        if part in getattr(obj, "_fields", ()):
+            return True
         if not hasattr(obj, part):
             return False
         obj = getattr(obj, part)
@@ -181,7 +190,7 @@ def test_perf_kernels_still_collect():
 def test_removed_names_are_gone(name):
     assert {"acstk.symfun", "acstk.char_class", "acstk.genera"} <= {m.__name__ for m in SUBMODULES}
     if "." in name:  # the class itself stays
-        assert _has(acstk, name.split(".")[0])
+        assert any(_has(module, name.split(".")[0]) for module in [acstk, *SUBMODULES])
     for module in [acstk, *SUBMODULES]:
         assert not _has(module, name), f"{module.__name__}.{name}"
 
