@@ -325,6 +325,18 @@ def test_argparse_rejects_unknown_sphere(capsys):
             ),
             "b30e776bfe482de1d39b69b32ac709c6446e405507b752b470ad52ef145a754a",
         ),
+        (
+            ("series", "q", "--order", "300"),
+            "b05386bc5fac3f46b3470db6b5618df4f2cadc54dcf582ab83ae304461a823d3",
+        ),
+        (
+            ("series", "q", "--order", "0"),
+            "dfab52533a366e777fc849906f644710571c6176b1cdfff855e5ad9e9c21e85f",
+        ),
+        (
+            ("bernoulli", "--k", "100"),
+            "e1b545e9f427be7dd775767ea9dc62f58cf98ed252b714be82f1af40163a336b",
+        ),
     ],
 )
 def test_stdout_snapshot(capsys, monkeypatch, argv, digest):
