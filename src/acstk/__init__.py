@@ -5,17 +5,18 @@ The package decides, dimension by dimension and with machine-checkable
 certificates, which spheres carry an almost complex structure (exactly
 S^2 and S^6), and mechanizes every computation that decision rests on:
 Cayley-Dickson algebra arithmetic, the cross-product structure J and its
-Nijenhuis tensor, symmetric-function and power-series kernels, Bernoulli
-numbers and L-polynomials, characteristic-class identities on spheres and
-the Chern-character divisibility bound.  Everything is computed over
-exact rationals; no floating point appears anywhere.
+Nijenhuis tensor, symmetric-function kernels, Bernoulli numbers, the
+coefficients of the signature series and L-polynomials,
+characteristic-class identities on spheres and the Chern-character
+divisibility bound.  Everything is computed over exact rationals; no
+floating point appears anywhere.
 
 `import acstk` runs no layer module: each exported name imports the
 module that defines it on first use (PEP 562), so a program that needs
 one layer pays only for that layer.
 """
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 #: The exported names, by the layer module that defines them.
 _EXPORTS = {
@@ -23,7 +24,7 @@ _EXPORTS = {
     "char_class": ("SphereCohomologyClass", "replay_lemma_pontryagin_euler"),
     "classify": ("SphereVerdict", "classify_range", "classify_sphere"),
     "errors": ("InternalInvariantError",),
-    "genera": ("PowerSeries", "bernoulli", "chern_character", "l_polynomial", "q_series", "s_coefficient", "s_series"),
+    "genera": ("bernoulli", "chern_character", "l_polynomial", "q_coefficient", "s_coefficient"),
     "sphere_acs": (
         "SpherePoint",
         "TangentVector",

@@ -76,6 +76,10 @@ class SphereVerdict(Record):
 
 
 def _check_dimension(n: int) -> None:
+    """A sphere dimension is an int of at least 1; a bool or a float would
+    print as itself in the certificate's "n"."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError(f"sphere dimension must be an int, got the {type(n).__name__} {n!r}")
     if n < 1:
         raise ValueError(f"sphere dimension must be at least 1, got {n}")
 
@@ -243,6 +247,8 @@ def classify_sphere(n: int, samples: int = 25, seed: int = 0) -> SphereVerdict:
 
 def classify_range(start: int, stop: int, samples: int = 25, seed: int = 0) -> list[SphereVerdict]:
     """Classify every dimension in the inclusive range [start, stop]."""
-    if start < 1 or stop < start:
+    _check_dimension(start)
+    _check_dimension(stop)
+    if stop < start:
         raise ValueError(f"invalid range {start}..{stop}")
     return [classify_sphere(n, samples=samples, seed=seed) for n in range(start, stop + 1)]

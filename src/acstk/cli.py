@@ -18,7 +18,7 @@ from . import classify as classify_mod
 from ._exact import _EXPONENT
 from .cayley_dickson import CDElement
 from .errors import InternalInvariantError
-from .genera import bernoulli, l_polynomial, q_series
+from .genera import bernoulli, l_polynomial, q_coefficient
 from .sphere_acs import (
     compare_nijenhuis_associator,
     nijenhuis,
@@ -31,7 +31,7 @@ from .sphere_acs import (
 #: grows with the number of partitions of k (627 terms in L_20).
 LPOLY_MAX_K = 20
 
-#: Largest `series --order`; q_series(300) takes well under a second.
+#: Largest `series --order`; q_0..q_300 take well under a second.
 SERIES_MAX_ORDER = 300
 
 #: Largest `bernoulli --k`.  B_1..B_500 take well under a second, but this cap
@@ -223,9 +223,8 @@ def _cmd_series(args) -> int:
         raise ValueError("--order must be non-negative")
     if args.order > SERIES_MAX_ORDER:
         raise ValueError(f"--order must be at most {SERIES_MAX_ORDER}")
-    q = q_series(args.order)
     for k in range(args.order + 1):
-        print(f"z^{k}: {q.coefficient(k)}")
+        print(f"z^{k}: {q_coefficient(k)}")
     return 0
 
 

@@ -1,13 +1,13 @@
-"""Bernoulli numbers, the coefficients of the signature Q-series and of the
-s_k series, L-polynomials, their leading coefficients s_k, and the Chern
-character.
+"""Bernoulli numbers, the coefficients q_k of the signature series Q,
+L-polynomials, their leading coefficients s_k, and the Chern character.
 
 The Bernoulli numbers come from Brent and Harvey's integer triangle of
-tangent numbers (arXiv:1108.0286), the Q-series from them in closed form.  The
-L-polynomials are Hirzebruch's multiplicative sequence of Q, built
-directly in the Pontryagin classes p_1..p_k from the s_k and the Newton
-polynomials, one weight at a time on integer numerators, and each one is
-checked against the signature theorem on CP^{2k}.
+tangent numbers (arXiv:1108.0286), and q_k and s_k from them in closed
+form, one coefficient per call.  The L-polynomials are Hirzebruch's
+multiplicative sequence of Q, built directly in the Pontryagin classes
+p_1..p_k from the s_k and the Newton polynomials, one weight at a time on
+integer numerators, and each one is checked against the signature theorem
+on CP^{2k}.
 
 Bernoulli indexing note: throughout this module B_k means the k-th member
 of the classical *positive* sequence B_1 = 1/6, B_2 = 1/30, B_3 = 1/42,
@@ -22,58 +22,13 @@ from functools import lru_cache
 from operator import lshift
 from typing import Sequence
 
-from ._exact import Rational, _frac, _join_signed, _over_common_denominator, _term
+from ._exact import _over_common_denominator
 from .errors import InternalInvariantError
 from .symfun import GradedPoly, newton_polynomial, power_sums_from_values
 
 
-class PowerSeries:
-    """The coefficients of a univariate formal power series up to a fixed
-    order: `coeffs[k]` is the coefficient of z^k for k = 0..order, and
-    nothing beyond that window is known.
-    """
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, coeffs: Sequence[Rational], order: int | None = None):
-        coeffs = [_frac(c) for c in coeffs]
-        if order is None:
-            if not coeffs:
-                raise ValueError("a series needs at least its constant term")
-            order = len(coeffs) - 1
-        if order < 0:
-            raise ValueError("truncation order must be non-negative")
-        coeffs = coeffs[: order + 1]
-        coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
-        self.order = order
-        self.coeffs = tuple(coeffs)
-
-    def coefficient(self, k: int) -> Fraction:
-        if k < 0:
-            raise ValueError(f"coefficient index must be non-negative, got {k}")
-        if k > self.order:
-            raise ValueError(f"coefficient {k} beyond truncation order {self.order}")
-        return self.coeffs[k]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PowerSeries)
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
-
-    __hash__ = None
-
-    def __str__(self):
-        parts = [_term(c, "" if k == 0 else "z" if k == 1 else f"z^{k}") for k, c in enumerate(self.coeffs) if c]
-        return _join_signed([*parts, f"O(z^{self.order + 1})"])
-
-    def __repr__(self):
-        return f"PowerSeries({self!s})"
-
-
 # ----------------------------------------------------------------------
-# Bernoulli numbers, the Q-series and the s-series
+# Bernoulli numbers and the coefficients q_k and s_k
 
 
 _TANGENT: list[int] = []  # T_1..T_n so far, built on first use, never at import
@@ -106,35 +61,15 @@ def bernoulli(k: int) -> Fraction:
     return b
 
 
-@lru_cache(maxsize=None)
-def q_series(order: int) -> PowerSeries:
-    """The signature series Q(z) = sqrt(z)/tanh(sqrt(z)) = 1 + z/3 - z^2/45 + ...,
-    from the closed form q_k = (-1)^(k-1) 2^(2k)/(2k)! * B_k of its coefficients."""
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    q = [Fraction((-4) ** k, -math.factorial(2 * k)) * bernoulli(k) for k in range(1, order + 1)]
-    return PowerSeries([1, *q], order=order)
-
-
-def s_series(order: int) -> PowerSeries:
-    """The generating series 1/2 + (1/2) * 2*sqrt(z)/sinh(2*sqrt(z)) whose
-    z^k coefficient is s_k.
-
-    Only even powers of the formal square root appear, which leaves the
-    branch of sqrt(z) ambiguous; the real-sinh reading would flip every
-    odd coefficient's sign.  The branch is fixed to the one matching the
-    closed form (all s_k > 0), i.e. sinh(2*sqrt(z))/(2*sqrt(z)) is read
-    as the series d(z) = sum_k (-4)^k z^k / (2k+1)!  (equivalently
-    sin(2t)/(2t) with z = t^2).  1/d comes from the reciprocal recursion
-    g_n = -sum_{k=1..n} d_k g_(n-k), g_0 = 1 (d_0 = 1), without Bernoulli
-    numbers, so it is an independent route to s_k.
-    """
-    d = [Fraction((-4) ** k, math.factorial(2 * k + 1)) for k in range(order + 1)]
-    g = [Fraction(1)]
-    for n in range(1, order + 1):
-        g.append(-sum(d[k] * g[n - k] for k in range(1, n + 1)))
-    # s_0 = (1 + g_0)/2 = 1; a negative order is refused by PowerSeries
-    return PowerSeries([1, *(c / 2 for c in g[1:])], order=order)
+def q_coefficient(k: int) -> Fraction:
+    """q_k, the z^k coefficient of the signature series
+    Q(z) = sqrt(z)/tanh(sqrt(z)) = 1 + z/3 - z^2/45 + ..., from the closed
+    form q_k = (-1)^(k-1) 2^(2k)/(2k)! * B_k, with q_0 = 1."""
+    if k < 0:
+        raise ValueError(f"q-coefficients are indexed from 0, got {k}")
+    if k == 0:
+        return Fraction(1)
+    return Fraction((-4) ** k, -math.factorial(2 * k)) * bernoulli(k)
 
 
 @lru_cache(maxsize=None)
@@ -142,7 +77,8 @@ def s_coefficient(k: int) -> Fraction:
     """s_k = 2^(2k) (2^(2k-1) - 1) / (2k)! * B_k, with s_0 = 1.
 
     This is the coefficient of p_k in the k-th L-polynomial, and the z^k
-    coefficient of :func:`s_series`; the three routes agree exactly.
+    coefficient of the generating series 1/2 + t/sin(2t) with z = t^2; the
+    three routes agree exactly.
     """
     if k < 0:
         raise ValueError("s-coefficients are indexed from 0")
@@ -177,14 +113,14 @@ def l_polynomial(k: int) -> GradedPoly:
     E_0 = 1, so the step to weight k takes L_1..L_(k-1) from this cache.
     The j a_j are signed s_j: log Q(x^2) = log cosh x - log(sinh x / x)
     has x-derivative 1/x - 2/sinh(2x), so sum_j j a_j z^j at z = x^2 is
-    (1 - 2x/sinh(2x))/2, 1 minus the real-sinh reading of :func:`s_series`
-    (z^j coefficient (-1)^j s_j), and j a_j = (-1)^(j-1) s_j.  The step
-    runs on integers: every factor is a dict of integer numerators over one
-    denominator, and each monomial is one int key holding its exponents in
-    fields of k.bit_length() bits, so a product of monomials is a sum of
-    keys (no exponent exceeds k, so no field carries).  Checked against the
-    signature theorem on CP^{2k}: with p_j = C(2k+1, j) the value of L_k
-    must be sigma(CP^{2k}) = 1.
+    (1 - 2x/sinh(2x))/2 = 1 - (1/2 + x/sinh(2x)).  With x = it the last
+    series is 1/2 + t/sin(2t), sum_j s_j t^(2j), at t^2 = -z, so
+    j a_j = (-1)^(j-1) s_j.  The step runs on integers: every factor is a
+    dict of integer numerators over one denominator, and each monomial is
+    one int key holding its exponents in fields of k.bit_length() bits, so
+    a product of monomials is a sum of keys (no exponent exceeds k, so no
+    field carries).  Checked against the signature theorem on CP^{2k}:
+    with p_j = C(2k+1, j) the value of L_k must be sigma(CP^{2k}) = 1.
     """
     if k < 1:
         raise ValueError(f"L-polynomials are indexed from 1, got {k}")

@@ -10,9 +10,10 @@ compiled structure-constant kernel, the random samplers build one
 takes one `associator` per triple instead of the structure table and
 shared products, Bernoulli numbers come from the classical recurrence and
 from Q(z) = w/tanh(w) (z = w^2), one quotient of the coefficient lists of
-cosh(w) and sinh(w)/w, instead of tangent numbers, the L-polynomial
-oracle expands prod Q(b_i z), with Q from that quotient, in root
-variables and reduces it to the elementary basis by leading-term
+cosh(w) and sinh(w)/w, instead of tangent numbers, the s_k from the
+reciprocal of sin(2t)/(2t) (z = t^2) instead of the closed form in B_k,
+the L-polynomial oracle expands prod Q(b_i z), with Q from that quotient,
+in root variables and reduces it to the elementary basis by leading-term
 elimination instead of running the multiplicative sequence,
 a second L-polynomial oracle runs the multiplicative sequence on
 `GradedPoly` values with `Fraction` coefficients, the coefficients of
@@ -36,7 +37,6 @@ from math import comb, factorial
 from typing import Mapping, Optional
 
 from acstk.cayley_dickson import AlternativityReport, CDElement, associator, basis_product
-from acstk.genera import PowerSeries
 from acstk.sphere_acs import SPHERE_LEVEL, SpherePoint, TangentVector, cross
 from acstk.symfun import GradedPoly, power_sums_from_values
 
@@ -222,22 +222,43 @@ def positive_bernoulli_oracle(k: int) -> Fraction:
 # = cosh(w) / (sinh(w)/w) with z = w^2, as one quotient of coefficient lists.
 
 
-def reciprocal_q_series(order: int) -> PowerSeries:
-    """Q(z) = sum z^k/(2k)! divided by sum z^k/(2k+1)!, by long division:
-    q_n = a_n - sum_{k=1..n} b_k q_(n-k), with b_0 = 1."""
+def reciprocal_q_series(order: int) -> tuple[Fraction, ...]:
+    """q_0..q_order of Q(z) = sum z^k/(2k)! divided by sum z^k/(2k+1)!, by
+    long division: q_n = a_n - sum_{k=1..n} b_k q_(n-k), with b_0 = 1."""
     a = [Fraction(1, factorial(2 * k)) for k in range(order + 1)]
     b = [Fraction(1, factorial(2 * k + 1)) for k in range(order + 1)]
     q: list[Fraction] = []
     for n in range(order + 1):
         q.append(a[n] - sum(b[k] * q[n - k] for k in range(1, n + 1)))
-    return PowerSeries(q, order=order)
+    return tuple(q)
+
+
+def s_series(order: int) -> tuple[Fraction, ...]:
+    """s_0..s_order, the coefficients of the generating series
+    1/2 + (1/2) * 2*sqrt(z)/sinh(2*sqrt(z)), by a reciprocal recursion
+    instead of the closed form in Bernoulli numbers.
+
+    Only even powers of the formal square root appear, which leaves the
+    branch of sqrt(z) ambiguous; the real-sinh reading would flip every
+    odd coefficient's sign.  The branch is fixed to the one matching the
+    closed form (all s_k > 0), i.e. sinh(2*sqrt(z))/(2*sqrt(z)) is read
+    as the series d(z) = sum_k (-4)^k z^k / (2k+1)!  (equivalently
+    sin(2t)/(2t) with z = t^2).  1/d comes from the reciprocal recursion
+    g_n = -sum_{k=1..n} d_k g_(n-k), g_0 = 1 (d_0 = 1).
+    """
+    d = [Fraction((-4) ** k, factorial(2 * k + 1)) for k in range(order + 1)]
+    g = [Fraction(1)]
+    for n in range(1, order + 1):
+        g.append(-sum(d[k] * g[n - k] for k in range(1, n + 1)))
+    # s_0 = (1 + g_0)/2 = 1
+    return (Fraction(1), *(c / 2 for c in g[1:]))
 
 
 def log_q_coefficients(k: int) -> list[Fraction]:
     """j a_j for j = 0..k, where log Q(z) = sum a_j z^j, by the log-Q
     recurrence j a_j = j q_j - sum_{i<j} i a_i q_(j-i) on the reciprocal
     Q-series, so that no Bernoulli number is read."""
-    q = reciprocal_q_series(k).coeffs
+    q = reciprocal_q_series(k)
     ja = [Fraction(0)]
     for j in range(1, k + 1):
         ja.append(j * q[j] - sum(ja[i] * q[j - i] for i in range(1, j)))
@@ -247,7 +268,7 @@ def log_q_coefficients(k: int) -> list[Fraction]:
 def reciprocal_bernoulli_oracle(k: int) -> Fraction:
     """The k-th positive Bernoulli number read off the reciprocal Q-series
     via q_k = (-1)^(k-1) 2^(2k)/(2k)! * B_k."""
-    qk = reciprocal_q_series(k).coefficient(k)
+    qk = reciprocal_q_series(k)[k]
     return qk * (-1) ** (k - 1) * Fraction(factorial(2 * k), 2 ** (2 * k))
 
 
@@ -421,7 +442,7 @@ def l_polynomial_in_roots(k: int, m: int) -> GradedPoly:
         powers = [unit_constant(variables, 1)]
         for _ in range(k):
             powers.append(powers[-1] * b)
-        factor = [powers[j] * q.coefficient(j) for j in range(k + 1)]
+        factor = [powers[j] * q[j] for j in range(k + 1)]
         new = [unit_poly(variables) for _ in range(k + 1)]
         for i in range(k + 1):
             if not coeffs[i]:

@@ -16,12 +16,12 @@ its basis scans alone.  The inputs come from the sampler oracles of
 `tests/oracles.py`.  The draw rows draw from one `random.Random` that
 advances between calls, as `verify_j_structure`'s loop does.  The genus rows time B_1..B_100 in
 ascending order, as `acstk bernoulli --k 100` asks for them,
-q_series(300), as `acstk series q --order 300` does, s_series(100), the
-generating series of the s_k, and L_1..L_7 and L_1..L_20 in ascending
-order, as `acstk lpoly --k 7` and `--k 20` do.
+q_0..q_300, as `acstk series q --order 300` asks for them, the s_series
+oracle to order 100, the generating series of the s_k, and L_1..L_7 and
+L_1..L_20 in ascending order, as `acstk lpoly --k 7` and `--k 20` do.
 Every genus row starts cold: the `l_polynomial`, `newton_polynomial`,
-`q_series`, `s_coefficient` and `bernoulli` caches and the tangent-number
-table are emptied before each round.  The start-up rows time a fresh
+`s_coefficient` and `bernoulli` caches and the tangent-number table are
+emptied before each round.  The start-up rows time a fresh
 interpreter running `import acstk`, as the benchmark's `setup_s` does, and
 `from acstk import CDElement`, which loads one layer.
 """
@@ -36,10 +36,10 @@ import pytest
 
 from acstk import genera
 from acstk.cayley_dickson import associator, probe_alternative
-from acstk.genera import bernoulli, l_polynomial, q_series, s_coefficient, s_series
+from acstk.genera import bernoulli, l_polynomial, q_coefficient, s_coefficient
 from acstk.sphere_acs import _draw_point, _draw_tangent, cross, nijenhuis, verify_j_structure
 from acstk.symfun import newton_polynomial
-from oracles import random_cd_element, random_sphere_sample
+from oracles import random_cd_element, random_sphere_sample, s_series
 
 
 @pytest.mark.parametrize("level", [2, 3, 4])
@@ -88,7 +88,7 @@ def test_probe_alternative_sedenions(benchmark, samples):
 
 
 def _cold_genera():
-    for cached in (bernoulli, q_series, s_coefficient, l_polynomial, newton_polynomial):
+    for cached in (bernoulli, s_coefficient, l_polynomial, newton_polynomial):
         cached.cache_clear()
     genera._TANGENT.clear()
     genera._TANGENT_COLUMN.clear()
@@ -98,8 +98,8 @@ def test_bernoulli_1_to_100_cold(benchmark):
     benchmark.pedantic(lambda: [bernoulli(k) for k in range(1, 101)], setup=_cold_genera, rounds=10)
 
 
-def test_q_series_300_cold(benchmark):
-    benchmark.pedantic(q_series, args=(300,), setup=_cold_genera, rounds=10)
+def test_q_coefficient_0_to_300_cold(benchmark):
+    benchmark.pedantic(lambda: [q_coefficient(k) for k in range(301)], setup=_cold_genera, rounds=10)
 
 
 def test_s_series_100_cold(benchmark):

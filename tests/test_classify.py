@@ -116,6 +116,22 @@ def test_invalid_range():
 
 
 @pytest.mark.parametrize(
+    "call, kind",
+    [
+        (lambda: classify_sphere(True), "bool True"),
+        (lambda: classify_sphere(3.0), "float 3.0"),
+        (lambda: classify_range(1, 2.5), "float 2.5"),
+    ],
+    ids=["sphere-bool", "sphere-float", "range-float-stop"],
+)
+def test_dimensions_must_be_ints(call, kind):
+    # True and 3.0 compare like 1 and 3, so without the check their verdicts
+    # read "n": true and "n": 3.0, and range(1, 3.5) raises its own TypeError
+    with pytest.raises(TypeError, match=f"^sphere dimension must be an int, got the {kind}$"):
+        call()
+
+
+@pytest.mark.parametrize(
     "fields, expected_repr",
     [
         (

@@ -9,15 +9,7 @@ import pytest
 
 import acstk.genera as genera
 from acstk.errors import InternalInvariantError
-from acstk.genera import (
-    PowerSeries,
-    bernoulli,
-    chern_character,
-    l_polynomial,
-    q_series,
-    s_coefficient,
-    s_series,
-)
+from acstk.genera import bernoulli, chern_character, l_polynomial, q_coefficient, s_coefficient
 from acstk.symfun import GradedPoly, newton_polynomial
 from oracles import (
     l_polynomial_graded_oracle,
@@ -26,34 +18,15 @@ from oracles import (
     positive_bernoulli_oracle,
     reciprocal_bernoulli_oracle,
     reciprocal_q_series,
+    s_series,
     substitute,
 )
-
-
-def series(*coeffs):
-    return PowerSeries(list(coeffs))
-
-
-def test_series_rendering():
-    assert str(PowerSeries([0], order=3)) == "O(z^4)"
-    assert str(PowerSeries([Fraction(-1, 2), -1, 0, 3], order=4)) == "-1/2 - z + 3*z^3 + O(z^5)"
-    assert str(series(0, 1, -2)) == "z - 2*z^2 + O(z^3)"
-
-
-def test_series_order_tracking():
-    # the order window pads with zeros or cuts off what lies beyond it
-    assert PowerSeries([1, 2, 3, 4], order=1) == series(1, 2)
-    assert PowerSeries([1], order=2) == series(1, 0, 0)
-    with pytest.raises(ValueError):
-        series(1, 2, 3, 4).coefficient(4)
-    with pytest.raises(ValueError, match="non-negative"):
-        PowerSeries([1], order=-1)
 
 
 def test_tanh_over_w():
     # the third Bernoulli route: Q = 1/(tanh(w)/w) with z = w^2, as the
     # quotient of the coefficient lists of cosh(w) and sinh(w)/w
-    assert reciprocal_q_series(3) == series(1, Fraction(1, 3), Fraction(-1, 45), Fraction(2, 945))
+    assert reciprocal_q_series(3) == (1, Fraction(1, 3), Fraction(-1, 45), Fraction(2, 945))
 
 
 def test_bernoulli_against_recurrence_oracle():
@@ -83,7 +56,7 @@ def test_bernoulli_von_staudt_clausen():
 
 
 def _clear_genera_caches():
-    for cached in (bernoulli, q_series, s_coefficient, l_polynomial):
+    for cached in (bernoulli, s_coefficient, l_polynomial):
         cached.cache_clear()
     genera._TANGENT.clear()
     genera._TANGENT_COLUMN.clear()
@@ -115,29 +88,22 @@ def test_import_builds_no_tangent_table():
 
 
 def test_q_series_coefficients():
-    q = q_series(3)
-    assert q.coefficient(0) == 1
-    assert q.coefficient(1) == Fraction(1, 3)
-    assert q.coefficient(2) == Fraction(-1, 45)
-    assert q.coefficient(3) == Fraction(2, 945)
+    assert [q_coefficient(k) for k in range(4)] == [1, Fraction(1, 3), Fraction(-1, 45), Fraction(2, 945)]
 
 
 def test_q_series_two_route_agreement():
     # q_k = (-1)^(k-1) 2^(2k)/(2k)! B_k, with B_k from the recurrence oracle:
-    # q_series is built from bernoulli() by this closed form, so the second
+    # q_coefficient reads bernoulli() through this closed form, so the second
     # route must take B_k from elsewhere
     closed = [Fraction(1)] + [
         (-1) ** (k - 1) * Fraction(2 ** (2 * k), math.factorial(2 * k)) * positive_bernoulli_oracle(k)
         for k in range(1, 9)
     ]
-    assert q_series(8) == PowerSeries(closed)
+    assert [q_coefficient(k) for k in range(9)] == closed
 
 
 def test_q_series_matches_reciprocal_series_oracle():
-    assert q_series(60) == reciprocal_q_series(60)
-    assert q_series(0) == series(1)
-    with pytest.raises(ValueError, match="non-negative"):
-        q_series(-1)
+    assert tuple(q_coefficient(k) for k in range(61)) == reciprocal_q_series(60)
 
 
 def test_l_polynomial_golden_values():
@@ -211,10 +177,10 @@ def test_l_polynomial_sign_flipped_step_is_caught(monkeypatch, k):
 
 
 def test_l_polynomial_reads_no_q_series(monkeypatch):
-    def refuse(order):
-        raise AssertionError(f"q_series({order}) called")
+    def refuse(k):
+        raise AssertionError(f"q_coefficient({k}) called")
 
-    monkeypatch.setattr(genera, "q_series", refuse)
+    monkeypatch.setattr(genera, "q_coefficient", refuse)
     for cached in (l_polynomial, s_coefficient, bernoulli, newton_polynomial):
         cached.cache_clear()
     try:
@@ -244,13 +210,13 @@ def test_s_coefficient_values_and_triple_agreement():
     sser = s_series(6)
     for k in range(7):
         closed = s_coefficient(k)
-        assert closed == sser.coefficient(k)
+        assert closed == sser[k]
         if k >= 1:
             assert closed == l_polynomial(k).coefficient_of_generator(f"p{k}")
 
 
 def test_s_series_needs_no_bernoulli_numbers(cold_bernoulli, monkeypatch):
-    # acceptance criterion 2 counts s_series as a route to s_k of its own
+    # acceptance criterion 2 counts the s_series oracle as a route to s_k of its own
     expected = [s_coefficient(k) for k in range(13)]
     _clear_genera_caches()
 
@@ -259,10 +225,8 @@ def test_s_series_needs_no_bernoulli_numbers(cold_bernoulli, monkeypatch):
 
     monkeypatch.setattr(genera, "bernoulli", refuse)
     monkeypatch.setattr(genera, "_tangent_number", refuse)
-    assert list(s_series(12).coeffs) == expected
-    assert str(s_series(0)) == "1 + O(z^1)"
-    with pytest.raises(ValueError, match="non-negative"):
-        s_series(-1)
+    assert list(s_series(12)) == expected
+    assert s_series(0) == (1,)
 
 
 def test_chern_character_line_bundle():
@@ -308,7 +272,7 @@ def test_chern_character_errors():
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: q_series(4).coefficient(-1), "non-negative, got -1"),
+        (lambda: q_coefficient(-1), "indexed from 0, got -1"),
         (
             lambda: chern_character(1, [GradedPoly.generator(("t",), (1,), "t")], max_weight=-1),
             "max_weight must be non-negative",

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import acstk
-from acstk import CDElement, GradedPoly, PowerSeries, SphereCohomologyClass
+from acstk import CDElement, GradedPoly, SphereCohomologyClass
 
 SUBMODULES = [
     importlib.import_module(f"acstk.{info.name}") for info in pkgutil.iter_modules(acstk.__path__)
@@ -62,6 +62,9 @@ REMOVED = [
     "embed",
     "AssociatorComparison.ratio",
     "AssociatorComparison.associator_real_part",
+    "PowerSeries",
+    "q_series",
+    "s_series",
 ]
 
 
@@ -189,7 +192,7 @@ def test_perf_kernels_still_collect():
 @pytest.mark.parametrize("name", REMOVED)
 def test_removed_names_are_gone(name):
     assert {"acstk.symfun", "acstk.char_class", "acstk.genera"} <= {m.__name__ for m in SUBMODULES}
-    if "." in name:  # the class itself stays
+    if "." in name and name.split(".")[0] not in REMOVED:  # the class itself stays
         assert any(_has(module, name.split(".")[0]) for module in [acstk, *SUBMODULES])
     for module in [acstk, *SUBMODULES]:
         assert not _has(module, name), f"{module.__name__}.{name}"
@@ -200,10 +203,9 @@ CONSTRUCTORS = pytest.mark.parametrize(
     [
         lambda c: CDElement(1, [c, 0]),
         lambda c: GradedPoly(("x",), (1,), {(1,): c}),
-        lambda c: PowerSeries([c, 1]),
         lambda c: SphereCohomologyClass(2, c, 0),
     ],
-    ids=["CDElement", "GradedPoly", "PowerSeries", "SphereCohomologyClass"],
+    ids=["CDElement", "GradedPoly", "SphereCohomologyClass"],
 )
 
 
@@ -263,4 +265,3 @@ def test_values_print_as_signed_sums():
     x_y = {(0, 0): 3, (1, 0): 1, (0, 1): -1, (2, 0): half, (1, 1): -1}
     assert str(GradedPoly(("x", "y"), (1, 1), x_y)) == "3 + x - y - 1/2*x^2 - x*y"
     assert str(GradedPoly(("x",), (1,), {})) == "0"
-    assert str(PowerSeries([half, 1, -1, 0, half])) == "-1/2 + z - z^2 - 1/2*z^4 + O(z^5)"
