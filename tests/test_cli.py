@@ -105,6 +105,44 @@ def test_classify_and_samples_are_capped(capsys, monkeypatch, argv, message):
     assert cli.CLASSIFY_MAX_N == 4 * cli.BERNOULLI_MAX_K
 
 
+LONG = "1" * 101
+
+REFUSALS = [
+    (("lpoly", "--k", "0"), "--k must be at least 1"),
+    (("lpoly", "--k", "21"), "--k must be at most 20"),
+    (("bernoulli", "--k", "0"), "--k must be at least 1"),
+    (("bernoulli", "--k", "101"), "--k must be at most 100"),
+    (("series", "q", "--order", "-1"), "--order must be non-negative"),
+    (("series", "q", "--order", "301"), "--order must be at most 300"),
+    (("classify", "401"), "classify dimensions must be at most 400"),
+    (("classify", "--range", "1..401"), "classify dimensions must be at most 400"),
+    (("classify", "6", "--range", "1..3"), "classify needs exactly one of a dimension or --range A..B"),
+    (("classify",), "classify needs exactly one of a dimension or --range A..B"),
+    (("classify", "--range", "3..1"), "invalid range 3..1"),
+    (("classify", "--range", "x"), "range must look like A..B, got 'x'"),
+    (("classify", "6", "--samples", "0"), "need at least 1 sample, got 0"),
+    (("classify", "6", "--samples", "100001"), "--samples must be at most 100000"),
+    (("verify-j", "--sphere", "2", "--samples", "0"), "need at least 1 sample, got 0"),
+    (("verify-j", "--sphere", "2", "--samples", "100001"), "--samples must be at most 100000"),
+    *(
+        (
+            ("nijenhuis", "--sphere", "2", "--point", f"{entry},0", "--u", "1,0,0", "--v", "0,1,0"),
+            "--point entries may have at most 100 digits and a decimal exponent of at most 100 "
+            "in absolute value",
+        )
+        for entry in (LONG, "1e101")
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, stderr", REFUSALS, ids=[" ".join(argv).replace(LONG, "1x101") for argv, _ in REFUSALS]
+)
+def test_refusal_bytes(capsys, argv, stderr):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {stderr}\n")
+
+
 def test_bernoulli_cap_keeps_k_100():
     assert cli.BERNOULLI_MAX_K >= 100
 
