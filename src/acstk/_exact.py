@@ -24,8 +24,8 @@ def _frac(x) -> Fraction:
     names.  A float is refused: it holds a binary approximation (0.1 is
     3602879701896397/36028797018963968), not the rational it was written as.
     So is a bool (an int subclass that names a flag, not a number) and a
-    decimal exponent above `_EXPONENT_MAX` in absolute value, whose length
-    is read before int() parses it.  Every other type raises `TypeError`:
+    decimal exponent above `_EXPONENT_MAX` in absolute value
+    (`_exponent_exceeds`).  Every other type raises `TypeError`:
     `Fraction` would expand a `Decimal`'s exponent unchecked."""
     if isinstance(x, (float, bool)):
         raise TypeError(f"coefficients must be exact rationals, got the {type(x).__name__} {x!r}")
@@ -35,12 +35,20 @@ def _frac(x) -> Fraction:
         return Fraction(x)
     if not isinstance(x, str):
         raise TypeError(f"coefficients must be an int, a Fraction or a string, got the {type(x).__name__} {x!r}")
-    match = _EXPONENT.search(x)
-    if match:
-        digits = match[1].replace("_", "").lstrip("+-0")
-        if len(digits) > len(str(_EXPONENT_MAX)) or int(digits or 0) > _EXPONENT_MAX:
-            raise ValueError(f"a decimal exponent may be at most {_EXPONENT_MAX} in absolute value")
+    if _exponent_exceeds(x, _EXPONENT_MAX):
+        raise ValueError(f"a decimal exponent may be at most {_EXPONENT_MAX} in absolute value")
     return Fraction(x)
+
+
+def _exponent_exceeds(text: str, cap: int) -> bool:
+    """Whether `text` ends in a decimal exponent above `cap` in absolute
+    value.  The exponent's digit count decides first, so int() never
+    parses a long exponent."""
+    match = _EXPONENT.search(text)
+    if not match:
+        return False
+    digits = match[1].replace("_", "").lstrip("+-0")
+    return len(digits) > len(str(cap)) or int(digits or 0) > cap
 
 
 def _over_common_denominator(pairs) -> tuple[list[int], int]:

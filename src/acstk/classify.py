@@ -75,11 +75,16 @@ class SphereVerdict(Record):
         }
 
 
-def _check_dimension(n: int) -> None:
-    """A sphere dimension is an int of at least 1; a bool or a float would
-    print as itself in the certificate's "n"."""
+def _check_int(n) -> None:
+    """A sphere dimension is an int; a bool or a float would print as
+    itself in the certificate's "n"."""
     if not isinstance(n, int) or isinstance(n, bool):
         raise TypeError(f"sphere dimension must be an int, got the {type(n).__name__} {n!r}")
+
+
+def _check_dimension(n: int) -> None:
+    """A sphere dimension is an int of at least 1."""
+    _check_int(n)
     if n < 1:
         raise ValueError(f"sphere dimension must be at least 1, got {n}")
 
@@ -148,6 +153,7 @@ def check_chern_divisibility(n: int) -> Optional[dict]:
     rank-m complex tangent bundle whose only class is c_m.  Integrality
     plus the Euler pairing <c_m> = 2 force (m-1)! to divide 2; return a
     certificate when it does not."""
+    _check_int(n)
     if n % 2 != 0 or n < 2:
         raise ValueError(f"the divisibility route applies to S^{{2m}} with m >= 1, got n = {n}")
     m = n // 2

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -112,7 +113,7 @@ REFUSALS = [
     (("lpoly", "--k", "21"), "--k must be at most 20"),
     (("bernoulli", "--k", "0"), "--k must be at least 1"),
     (("bernoulli", "--k", "101"), "--k must be at most 100"),
-    (("series", "q", "--order", "-1"), "--order must be non-negative"),
+    (("series", "q", "--order", "-1"), "--order must be at least 0"),
     (("series", "q", "--order", "301"), "--order must be at most 300"),
     (("classify", "401"), "classify dimensions must be at most 400"),
     (("classify", "--range", "1..401"), "classify dimensions must be at most 400"),
@@ -191,14 +192,37 @@ def test_verify_j_json(capsys):
     assert data["sphere"] == 2 and data["seed"] == 5 and data["all_passed"] is True
 
 
-def test_seed_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("ACSTK_SEED", "123")
+@pytest.mark.parametrize("value", ["123", "notanumber"])
+def test_seed_comes_only_from_the_command_line(capsys, monkeypatch, value):
+    # the seed comes from --seed alone, so a stray ACSTK_SEED changes no output
+    _, plain, _ = run(capsys, "classify", "6", "--json")
+    monkeypatch.setenv("ACSTK_SEED", value)
     code, out, _ = run(capsys, "verify-j", "--sphere", "2", "--samples", "5", "--json")
-    assert code == 0
-    assert json.loads(out)["seed"] == 123
-    monkeypatch.setenv("ACSTK_SEED", "notanumber")
-    code, _, err = run(capsys, "verify-j", "--sphere", "2", "--samples", "5")
-    assert code == 2 and "ACSTK_SEED" in err
+    assert code == 0 and json.loads(out)["seed"] == 0
+    assert run(capsys, "classify", "6", "--json") == (0, plain, "")
+
+
+def _subcommands() -> dict:
+    (subparsers,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return subparsers.choices
+
+
+def test_every_subcommand_binds_a_handler():
+    with_sphere = set()
+    for name, parser in _subcommands().items():
+        assert callable(parser.get_default("handler")), name
+        for action in parser._actions:
+            if action.dest == "sphere":
+                assert list(action.choices) == [2, 6], name
+                with_sphere.add(name)
+    assert with_sphere == {"verify-j", "nijenhuis", "assoc-compare"}
+
+
+def test_readme_lists_every_subcommand():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    listed = [line.split()[1] for line in block.splitlines()]
+    assert sorted(listed) == sorted(_subcommands())
 
 
 def test_nijenhuis_json_schema(capsys):
@@ -377,8 +401,7 @@ def test_argparse_rejects_unknown_sphere(capsys):
         ),
     ],
 )
-def test_stdout_snapshot(capsys, monkeypatch, argv, digest):
-    monkeypatch.delenv("ACSTK_SEED", raising=False)
+def test_stdout_snapshot(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

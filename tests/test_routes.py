@@ -47,6 +47,16 @@ def test_route_checks_refuse_non_positive_dimensions(check, n):
         check(n)
 
 
+@pytest.mark.parametrize("n", [4.0, True, "4"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize(
+    "check", [check_odd, check_pontryagin_euler, check_signature, check_chern_divisibility],
+    ids=lambda check: check.__name__,
+)
+def test_route_checks_refuse_non_int_dimensions(check, n):
+    with pytest.raises(TypeError, match=f"^sphere dimension must be an int, got the {type(n).__name__} {n!r}$"):
+        check(n)
+
+
 def _fired(n: int) -> dict:
     """reason -> certificate of every route that rules S^n out; a route
     that raises ValueError does not apply to n."""
@@ -91,7 +101,7 @@ def test_traced_classify_sees_every_route_call(tmp_path):
     # bench/traced.py rebinds module names to wrappers; a route table that
     # captured the check functions themselves would hide these spans
     stats = tmp_path / "stats.json"
-    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON") and k != "ACSTK_SEED"}
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env["PYTHONPATH"] = str(ROOT / "src")
     proc = subprocess.run(
         [
