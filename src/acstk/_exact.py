@@ -7,9 +7,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import lcm
-from typing import Union
 
-Rational = Union[int, Fraction]
+Rational = int | Fraction
 
 #: Largest magnitude of the decimal exponent of a coefficient string:
 #: `Fraction("1e-99999999")` builds 10^99999999 before it returns.  4300 is

@@ -37,11 +37,11 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Optional
 
 from ._exact import Rational, _frac, _join_signed, _over_common_denominator, _term
 from ._record import Record
@@ -57,7 +57,15 @@ PROBE_LEVEL_CAP = 5
 _set = object.__setattr__
 
 
+def _check_level_int(level) -> None:
+    """A doubling level is an int; a bool would be stored, and print, as
+    itself, and a float or a string fails inside the arithmetic."""
+    if not isinstance(level, int) or isinstance(level, bool):
+        raise TypeError(f"level must be an int, got the {type(level).__name__} {level!r}")
+
+
 def _check_level_cap(level: int) -> None:
+    _check_level_int(level)
     if not 0 <= level <= LEVEL_CAP:
         raise ValueError(f"level must be in 0..{LEVEL_CAP}, got {level}")
 
@@ -70,7 +78,9 @@ class CDElement(Record):
     the zero element is (0, ..., 0)/1 and equal values have equal fields.
     `coeffs`, the same value as a tuple of `Fraction`s, is built on first
     access.  Coefficient 0 is the real part.  Elements are immutable.
-    Arithmetic between different levels is rejected.
+    Arithmetic between different levels is rejected.  `basis(level, 0)` is
+    the unit, `basis(level, 0) * q` the scalar q and `x * 0` the zero;
+    `num[1:]` holds the imaginary part.
     """
 
     level: int
@@ -105,29 +115,6 @@ class CDElement(Record):
     @cached_property
     def coeffs(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(n, self.den) for n in self.num)
-
-    def __repr__(self) -> str:
-        return f"{self.__class__.__qualname__}(level={self.level!r}, coeffs={self.coeffs!r})"
-
-    # ------------------------------------------------------------------
-    # constructors
-
-    @classmethod
-    def zero(cls, level: int) -> "CDElement":
-        _check_level_cap(level)
-        return cls._reduced(level, (0,) * (1 << level), 1)
-
-    @classmethod
-    def one(cls, level: int) -> "CDElement":
-        return cls.scalar(level, 1)
-
-    @classmethod
-    def scalar(cls, level: int, value: Rational) -> "CDElement":
-        _check_level_cap(level)
-        q = _frac(value)
-        num = [0] * (1 << level)
-        num[0] = q.numerator
-        return cls._reduced(level, num, q.denominator)
 
     @classmethod
     def basis(cls, level: int, index: int) -> "CDElement":
@@ -184,11 +171,6 @@ class CDElement(Record):
             return CDElement._reduced(self.level, [a * n for a in self.num], self.den * d)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
     def __bool__(self) -> bool:
         return any(self.num)
 
@@ -205,9 +187,6 @@ class CDElement(Record):
 
     def real_part(self) -> Fraction:
         return Fraction(self.num[0], self.den)
-
-    def imaginary_part(self) -> "CDElement":
-        return CDElement._reduced(self.level, (0,) + self.num[1:], self.den)
 
     def is_imaginary(self) -> bool:
         return self.num[0] == 0
@@ -238,13 +217,14 @@ def associator(u: CDElement, v: CDElement, w: CDElement) -> CDElement:
     return CDElement._reduced(level, [x - y for x, y in zip(left, right)], u.den * v.den * w.den)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def basis_product(level: int, i: int, j: int) -> tuple[int, int]:
     """Structure constants: e_i * e_j = sign * e_k, returned as (sign, k).
 
     Computed by structural induction on the doubling rule; products of
     basis vectors are always signed basis vectors.  Levels run from 0 to
-    `LEVEL_CAP`.
+    `LEVEL_CAP`.  The cache is typed, so a level of True or 2.0 is not
+    served the entry of 1 or 2 but reaches the level check.
     """
     _check_level_cap(level)
     if not (0 <= i < 1 << level and 0 <= j < 1 << level):
@@ -287,7 +267,7 @@ def _kernel(level: int):
     return namespace["product"]
 
 
-def _basis_associator(level: int, a: int, b: int, c: int) -> Optional[tuple[int, int]]:
+def _basis_associator(level: int, a: int, b: int, c: int) -> tuple[int, int] | None:
     """[e_a, e_b, e_c] via the structure table: None when it vanishes,
     otherwise (coefficient, index).  Both triple products land on the same
     basis index (indices compose by XOR), so the associator is either zero
@@ -332,10 +312,10 @@ class AlternativityReport(Record):
     alternative: bool
     basis_checks: int
     random_checks: int
-    witness_form: Optional[str] = None
-    witness_u: Optional[CDElement] = None
-    witness_v: Optional[CDElement] = None
-    witness_associator: Optional[CDElement] = None
+    witness_form: str | None = None
+    witness_u: CDElement | None = None
+    witness_v: CDElement | None = None
+    witness_associator: CDElement | None = None
 
     def as_dict(self) -> dict:
         out = {
@@ -407,8 +387,10 @@ def probe_alternative(level: int, samples: int = 200, seed: int = 0) -> Alternat
     the random scan runs to the end, and its first witness is reported only
     when they found none.  A witness's associator is computed from its own
     u and v with the exact product, not read off the structure table.  A
-    negative level or sample count raises `ValueError`.
+    level that is not an int raises `TypeError`, a negative level or
+    sample count `ValueError`.
     """
+    _check_level_int(level)
     if level < 0:
         raise ValueError(f"probe level must be nonnegative, got {level}")
     if level > PROBE_LEVEL_CAP:

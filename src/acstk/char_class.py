@@ -39,14 +39,6 @@ class SphereCohomologyClass(Record):
             self.sphere_dim, self.scalar0 + other.scalar0, self.scalar_top + other.scalar_top
         )
 
-    def __sub__(self, other):
-        if not isinstance(other, SphereCohomologyClass):
-            return NotImplemented
-        self._check(other)
-        return SphereCohomologyClass(
-            self.sphere_dim, self.scalar0 - other.scalar0, self.scalar_top - other.scalar_top
-        )
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = _frac(other)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional
 
 from ._record import Record
 from .char_class import (
@@ -89,7 +88,7 @@ def _check_dimension(n: int) -> None:
         raise ValueError(f"sphere dimension must be at least 1, got {n}")
 
 
-def check_odd(n: int) -> Optional[dict]:
+def check_odd(n: int) -> dict | None:
     """Odd dimensions fall to the determinant parity argument; recorded
     as an axiom since no further computation exists at this level."""
     _check_dimension(n)
@@ -107,7 +106,7 @@ def check_odd(n: int) -> Optional[dict]:
     }
 
 
-def check_pontryagin_euler(n: int) -> Optional[dict]:
+def check_pontryagin_euler(n: int) -> dict | None:
     """For n = 4k, replay the top-Pontryagin/Euler contradiction."""
     _check_dimension(n)
     if n % 4 != 0:
@@ -148,7 +147,7 @@ def check_signature(n: int) -> dict:
     }
 
 
-def check_chern_divisibility(n: int) -> Optional[dict]:
+def check_chern_divisibility(n: int) -> dict | None:
     """For even n = 2m, expand the Chern character of a hypothetical
     rank-m complex tangent bundle whose only class is c_m.  Integrality
     plus the Euler pairing <c_m> = 2 force (m-1)! to divide 2; return a
@@ -187,7 +186,7 @@ def check_chern_divisibility(n: int) -> Optional[dict]:
     return cert
 
 
-def _pontryagin_euler_and_signature(n: int) -> Optional[dict]:
+def _pontryagin_euler_and_signature(n: int) -> dict | None:
     """Both certificates of S^{4k}, or None on other spheres."""
     pontryagin = check_pontryagin_euler(n)
     if pontryagin is None:

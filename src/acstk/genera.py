@@ -17,10 +17,10 @@ of the classical *positive* sequence B_1 = 1/6, B_2 = 1/30, B_3 = 1/42,
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from operator import lshift
-from typing import Sequence
 
 from ._exact import _over_common_denominator
 from .errors import InternalInvariantError

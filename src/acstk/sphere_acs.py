@@ -57,9 +57,9 @@ through the doubling product instead of `_cross`, on every call.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from fractions import Fraction
 from operator import mul
-from typing import Optional, Sequence
 
 from ._exact import _frac, _over_common_denominator
 from ._record import Record
@@ -280,8 +280,8 @@ class JVerificationReport(Record):
     j_squared_negates: bool
     image_tangent: bool
     norm_preserved: bool
-    example_point: Optional[CDElement] = None
-    example_tangent: Optional[CDElement] = None
+    example_point: CDElement | None = None
+    example_tangent: CDElement | None = None
 
     @property
     def all_passed(self) -> bool:

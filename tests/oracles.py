@@ -33,7 +33,7 @@ symbolically as polynomial vector fields.
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Mapping, Optional
 
 from acstk.cayley_dickson import AlternativityReport, CDElement, associator, basis_product
@@ -365,7 +365,7 @@ def reduce_to_elementary(p: GradedPoly) -> GradedPoly:
     def sigma_power(j: int, e: int) -> GradedPoly:
         key = (j, e)
         if key not in power_cache:
-            power_cache[key] = sigma[j] ** e
+            power_cache[key] = prod([sigma[j]] * e)
         return power_cache[key]
 
     out_terms: dict[tuple, Fraction] = {}
@@ -391,9 +391,8 @@ def reduce_to_elementary(p: GradedPoly) -> GradedPoly:
 def substitute(p: GradedPoly, assignments: Mapping[str, object]):
     """Evaluate a graded polynomial with every generator assigned.
 
-    Values may be rationals or GradedPoly (anything closed under +, * and
-    integer powers).  Returns a Fraction when the result collapses to a
-    scalar.
+    Values may be rationals or GradedPoly (anything closed under + and *).
+    Returns a Fraction when the result collapses to a scalar.
     """
     missing = [g for g in p.generators if g not in assignments]
     if missing:
@@ -403,7 +402,7 @@ def substitute(p: GradedPoly, assignments: Mapping[str, object]):
         term = coeff
         for name, e in zip(p.generators, exps):
             if e:
-                term = term * (assignments[name] ** e)
+                term = prod([assignments[name]] * e, start=term)
         total = term if total is None else total + term
     if total is None:
         for v in assignments.values():
@@ -478,7 +477,7 @@ def l_polynomial_graded_oracle(k: int) -> GradedPoly:
             acc = acc + ja_nus[j - 1] * e[n - j]
         e.append(acc * Fraction(1, n))
     lk = e[k]
-    assert lk.evaluate([comb(2 * k + 1, j) for j in weights]) == 1
+    assert substitute(lk, {g: comb(2 * k + 1, j) for g, j in zip(gens, weights)}) == 1
     return lk
 
 
@@ -643,7 +642,7 @@ def lie_bracket(a: list[GradedPoly], b: list[GradedPoly]) -> list[GradedPoly]:
 
 
 def _evaluate_field(field: list[GradedPoly], coords, level: int) -> CDElement:
-    values = [f.evaluate(coords) for f in field]
+    values = [substitute(f, dict(zip(f.generators, coords))) for f in field]
     return CDElement(level, tuple([Fraction(0)] + values))
 
 

@@ -33,6 +33,11 @@ def basis(level, i):
     return CDElement.basis(level, i)
 
 
+def scalar(level, q):
+    """The scalar q at `level`: the unit basis(level, 0) times q."""
+    return basis(level, 0) * q
+
+
 def test_quaternion_table_oracle():
     # the gathered integer product must reproduce the hardcoded table
     for (i, j), (sign, k) in QUATERNION_TABLE.items():
@@ -54,14 +59,14 @@ def test_product_matches_doubling_formula():
                 for _ in range(2)
             )
             assert (a * b).coeffs == doubling_product(a.coeffs, b.coeffs)
-    zero = CDElement.zero(3)
+    zero = basis(3, 0) * 0
     assert zero * basis(3, 5) == zero == basis(3, 5) * zero
 
 
 def test_unit_axiom_all_levels():
     rng = random.Random(0)
     for level in range(5):
-        one = CDElement.one(level)
+        one = basis(level, 0)
         for _ in range(5):
             x = random_cd_element(level, rng)
             assert one * x == x
@@ -111,6 +116,7 @@ def test_random_pairs_match_randint(max_num, max_den):
         lambda e: 1 - e,
         lambda e: e * 0.5,
         lambda e: 0.5 * e,
+        lambda e: 2 * e,
         lambda e: associator(e, e, 1),
         lambda e: associator(e, 1, e),
         lambda e: associator(1, e, e),
@@ -119,7 +125,7 @@ def test_random_pairs_match_randint(max_num, max_den):
         lambda e: e.inner(1),
     ],
     ids=[
-        "add", "sub", "radd", "rsub", "mul-float", "rmul-float",
+        "add", "sub", "radd", "rsub", "mul-float", "rmul-float", "rmul-int",
         "associator-w", "associator-v", "associator-u", "cross-v", "cross-u", "inner",
     ],
 )
@@ -129,8 +135,8 @@ def test_non_element_operands_raise_type_error(expr):
 
 
 def test_level_mismatch_errors_name_both_levels():
-    a = CDElement.one(2)
-    b = CDElement.one(3)
+    a = basis(2, 0)
+    b = basis(3, 0)
     with pytest.raises(ValueError, match="level-2.*level-3"):
         a * b
     with pytest.raises(ValueError, match="level-3.*level-2"):
@@ -140,7 +146,7 @@ def test_level_mismatch_errors_name_both_levels():
 
 
 def test_conjugation_basics():
-    assert CDElement.one(3).conjugate() == CDElement.one(3)
+    assert basis(3, 0).conjugate() == basis(3, 0)
     assert basis(3, 1).conjugate() == -basis(3, 1)
     rng = random.Random(1)
     for level in range(5):
@@ -175,14 +181,14 @@ def test_conjugation_antiautomorphism_exhaustive_basis():
 
 
 def test_norm_sq():
-    assert CDElement.zero(3).norm_sq() == 0
+    assert (basis(3, 0) * 0).norm_sq() == 0
     assert CDElement(2, (1, 2, 3, 4)).norm_sq() == 30
     rng = random.Random(3)
     for level in range(5):
         a = random_cd_element(level, rng)
         prod = a * a.conjugate()
         assert prod.real_part() == a.norm_sq()
-        assert not prod.imaginary_part()
+        assert not any(prod.num[1:])
 
 
 def test_norm_composition_up_to_octonions():
@@ -254,14 +260,14 @@ def test_associator_alternates_on_octonions():
 
 
 def test_real_and_imaginary_parts():
-    assert not CDElement.one(3).imaginary_part()
+    assert not any(basis(3, 0).num[1:])
     assert (basis(3, 1) * basis(3, 1)).real_part() == -1
     rng = random.Random(6)
     for level in range(5):
         a = random_cd_element(level, rng)
-        rebuilt = CDElement.scalar(level, a.real_part()) + a.imaginary_part()
-        assert rebuilt == a
-        assert a.imaginary_part().real_part() == 0
+        imaginary = CDElement(level, (0, *a.coeffs[1:]))
+        assert scalar(level, a.real_part()) + imaginary == a
+        assert imaginary.is_imaginary() and imaginary.real_part() == 0
 
 
 def test_polarization_for_imaginary_arguments():
@@ -271,7 +277,7 @@ def test_polarization_for_imaginary_arguments():
             u = random_cd_element(level, rng, imaginary=True)
             v = random_cd_element(level, rng, imaginary=True)
             lhs = u * v.conjugate() + v.conjugate() * u
-            assert lhs == CDElement.scalar(level, 2 * u.inner(v))
+            assert lhs == scalar(level, 2 * u.inner(v))
 
 
 def test_orthogonality_identity():
@@ -374,9 +380,9 @@ def test_coefficient_validation():
     "build",
     [
         lambda n: CDElement(n, [0] * (1 << n)),
-        CDElement.zero,
-        CDElement.one,
-        lambda n: CDElement.scalar(n, 3),
+        lambda n: CDElement.basis(n, 0) * 0,
+        lambda n: CDElement.basis(n, 0),
+        lambda n: CDElement.basis(n, 0) * 3,
         lambda n: CDElement.basis(n, 1),
     ],
     ids=["init", "zero", "one", "scalar", "basis"],
@@ -404,15 +410,11 @@ def test_structure_constants_refuse_levels_outside_the_cap(level):
 
 
 def test_repr_is_pinned():
-    assert repr(CDElement(0, (Fraction(-7, 3),))) == "CDElement(level=0, coeffs=(Fraction(-7, 3),))"
-    assert repr(CDElement(1, (Fraction(2, 4), 3))) == (
-        "CDElement(level=1, coeffs=(Fraction(1, 2), Fraction(3, 1)))"
-    )
-    assert repr(basis(2, 1) * basis(2, 2) * Fraction(-1, 6)) == (
-        "CDElement(level=2, coeffs=(Fraction(0, 1), Fraction(0, 1), "
-        "Fraction(0, 1), Fraction(-1, 6)))"
-    )
-    assert repr(CDElement.zero(1)) == "CDElement(level=1, coeffs=(Fraction(0, 1), Fraction(0, 1)))"
+    # the Record repr: the stored integer numerators over one denominator
+    assert repr(CDElement(0, (Fraction(-7, 3),))) == "CDElement(level=0, num=(-7,), den=3)"
+    assert repr(CDElement(1, (Fraction(2, 4), 3))) == "CDElement(level=1, num=(1, 6), den=2)"
+    assert repr(basis(2, 1) * basis(2, 2) * Fraction(-1, 6)) == "CDElement(level=2, num=(0, 0, 0, -1), den=6)"
+    assert repr(basis(1, 0) * 0) == "CDElement(level=1, num=(0, 0), den=1)"
 
 
 def _same_value_by_every_route():
@@ -421,10 +423,9 @@ def _same_value_by_every_route():
     target = [
         CDElement(2, (Fraction(2, 4), Fraction(-3, 4), 0, 0)),
         CDElement(2, ["1/2", Fraction(-6, 8), 0, Fraction(0, 5)]),
-        CDElement.scalar(2, quarter) * CDElement(2, (2, -3, 0, 0)),
+        scalar(2, quarter) * CDElement(2, (2, -3, 0, 0)),
         CDElement(2, (1, -quarter, 0, 0)) + CDElement(2, (-half, -half, 0, 0)),
         CDElement(2, (1, 0, 0, 1)) - CDElement(2, (half, Fraction(3, 4), 0, 1)),
-        quarter * CDElement(2, (2, -3, 0, 0)),
         CDElement(2, (4, -6, 0, 0)) * Fraction(1, 8),
         CDElement(2, (*CDElement(1, (half, Fraction(-3, 4))).coeffs, 0, 0)),
         -CDElement(2, (-half, Fraction(3, 4), 0, 0)),
@@ -432,14 +433,14 @@ def _same_value_by_every_route():
     ]
     a = CDElement(2, (Fraction(5, 6), Fraction(-1, 9), 2, 0))
     zeros = [
-        CDElement.zero(2),
+        basis(2, 0) * 0,
         CDElement(2, (0, Fraction(0, 7), 0, 0)),
         a - a,
         a * 0,
-        a * CDElement.zero(2),
+        a * (basis(2, 0) * 0),
         a + -a,
-        CDElement.one(2).imaginary_part(),
-        CDElement(2, (*CDElement.zero(1).coeffs, 0, 0)),
+        basis(2, 0) - basis(2, 0).conjugate(),
+        CDElement(2, (*(basis(1, 0) * 0).coeffs, 0, 0)),
     ]
     return target, zeros
 
@@ -453,8 +454,8 @@ def test_equal_values_compare_and_hash_equal_across_routes():
             assert hash(x) == hash(first)
         assert len(set(group)) == 1
     assert target[0] != zeros[0]
-    assert CDElement.zero(2) != CDElement.zero(3)
-    assert CDElement.one(1) != (1, 0)
+    assert basis(2, 0) * 0 != basis(3, 0) * 0
+    assert basis(1, 0) != (1, 0)
     assert {target[3]: "v"}[target[7]] == "v"
 
 
@@ -484,7 +485,7 @@ def test_coeffs_are_fractions():
     for x in results:
         assert type(x.coeffs) is tuple
         assert all(type(c) is Fraction for c in x.coeffs)
-    for value in (a.norm_sq(), a.inner(b), b.real_part(), CDElement.zero(1).norm_sq()):
+    for value in (a.norm_sq(), a.inner(b), b.real_part(), (basis(1, 0) * 0).norm_sq()):
         assert type(value) is Fraction
 
 
@@ -503,13 +504,13 @@ def test_coeffs_are_fractions():
             dict(
                 level=1, alternative=False, basis_checks=8, random_checks=3,
                 witness_form="[u, u, v]", witness_u=basis(1, 1),
-                witness_v=CDElement(1, (Fraction(1, 2), 0)), witness_associator=CDElement.zero(1),
+                witness_v=CDElement(1, (Fraction(1, 2), 0)), witness_associator=basis(1, 0) * 0,
             ),
             "AlternativityReport(level=1, alternative=False, basis_checks=8, random_checks=3, "
             "witness_form='[u, u, v]', "
-            "witness_u=CDElement(level=1, coeffs=(Fraction(0, 1), Fraction(1, 1))), "
-            "witness_v=CDElement(level=1, coeffs=(Fraction(1, 2), Fraction(0, 1))), "
-            "witness_associator=CDElement(level=1, coeffs=(Fraction(0, 1), Fraction(0, 1))))",
+            "witness_u=CDElement(level=1, num=(0, 1), den=1), "
+            "witness_v=CDElement(level=1, num=(1, 0), den=2), "
+            "witness_associator=CDElement(level=1, num=(0, 0), den=1))",
         ),
     ],
     ids=["defaults", "witness"],

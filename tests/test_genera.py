@@ -114,13 +114,13 @@ def test_l_polynomial_golden_values():
     gens2, w2 = ("p1", "p2"), (1, 2)
     q1 = GradedPoly.generator(gens2, w2, "p1")
     q2 = GradedPoly.generator(gens2, w2, "p2")
-    assert l_polynomial(2) == (7 * q2 - q1**2) * Fraction(1, 45)
+    assert l_polynomial(2) == (7 * q2 - q1 * q1) * Fraction(1, 45)
 
     gens3, w3 = ("p1", "p2", "p3"), (1, 2, 3)
     r1 = GradedPoly.generator(gens3, w3, "p1")
     r2 = GradedPoly.generator(gens3, w3, "p2")
     r3 = GradedPoly.generator(gens3, w3, "p3")
-    assert l_polynomial(3) == (62 * r3 - 13 * r2 * r1 + 2 * r1**3) * Fraction(1, 945)
+    assert l_polynomial(3) == (62 * r3 - 13 * r2 * r1 + 2 * r1 * r1 * r1) * Fraction(1, 945)
     with pytest.raises(ValueError):
         l_polynomial(0)
 
@@ -147,7 +147,7 @@ def test_l_polynomial_signature_of_complex_projective_space():
     # p(CP^{2k}) = (1 + x^2)^{2k+1}, so p_j = C(2k+1, j) and sigma = 1
     for k in range(1, 13):
         values = {f"p{j}": math.comb(2 * k + 1, j) for j in range(1, k + 1)}
-        assert l_polynomial(k).evaluate(values) == 1
+        assert substitute(l_polynomial(k), values) == 1
 
 
 def test_l_polynomial_self_check_fires(monkeypatch):
@@ -235,9 +235,9 @@ def test_chern_character_line_bundle():
     expected = (
         GradedPoly.constant(("t",), (1,), 1)
         + t
-        + t**2 * Fraction(1, 2)
-        + t**3 * Fraction(1, 6)
-        + t**4 * Fraction(1, 24)
+        + t * t * Fraction(1, 2)
+        + t * t * t * Fraction(1, 6)
+        + t * t * t * t * Fraction(1, 24)
     )
     assert ch == expected
 
@@ -277,12 +277,8 @@ def test_chern_character_errors():
             lambda: chern_character(1, [GradedPoly.generator(("t",), (1,), "t")], max_weight=-1),
             "max_weight must be non-negative",
         ),
-        (
-            lambda: GradedPoly.generator(("p1", "p2"), (1, 2), "p1").evaluate({"p1": 1}),
-            "no value for generator p2",
-        ),
     ],
-    ids=["series-coefficient-below-0", "chern-max-weight-below-0", "evaluate-missing-generator"],
+    ids=["series-coefficient-below-0", "chern-max-weight-below-0"],
 )
 def test_out_of_range_arguments_raise_value_error(call, message):
     with pytest.raises(ValueError, match=message):

@@ -5,6 +5,8 @@ import ast
 import importlib
 import os
 import pkgutil
+import re
+import runpy
 import subprocess
 import sys
 import types
@@ -15,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import acstk
-from acstk import CDElement, GradedPoly, SphereCohomologyClass
+from acstk import CDElement, GradedPoly, SphereCohomologyClass, basis_product, cli, probe_alternative
 
 SUBMODULES = [
     importlib.import_module(f"acstk.{info.name}") for info in pkgutil.iter_modules(acstk.__path__)
@@ -65,6 +67,15 @@ REMOVED = [
     "PowerSeries",
     "q_series",
     "s_series",
+    "CDElement.zero",
+    "CDElement.one",
+    "CDElement.scalar",
+    "CDElement.imaginary_part",
+    "CDElement.__rmul__",
+    "GradedPoly.__neg__",
+    "GradedPoly.__pow__",
+    "GradedPoly.evaluate",
+    "SphereCohomologyClass.__sub__",
 ]
 
 
@@ -75,11 +86,12 @@ def test_all_is_sorted_and_every_name_resolves():
         assert getattr(acstk, name) is not None, name
 
 
-def _run(code: str) -> str:
-    """Stdout of `code` in a fresh interpreter that imports acstk from src/."""
+def _run(code: str, *flags: str) -> str:
+    """Stdout of `code` in a fresh interpreter, started with `flags`, that
+    imports acstk from src/."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -122,6 +134,13 @@ def test_one_name_loads_its_own_layer_only():
     ]:
         added = {m for m in _added_by(statement) if m.split(".")[0] == "acstk"}
         assert added == layers, statement
+
+
+def test_no_layer_imports_typing():
+    # -S: a site hook may preload typing, which would hide an import of it;
+    # the CLI imports every layer, and nijenhuis reaches acstk.errors
+    loaded = _run("import sys, acstk.cli\nfrom acstk import nijenhuis\nprint('typing' in sys.modules)", "-S")
+    assert loaded.split() == ["False"]
 
 
 def test_every_export_is_the_object_of_its_home_module():
@@ -251,7 +270,9 @@ def test_constructors_refuse_bools(build):
     ids=["CDElement", "GradedPoly", "SphereCohomologyClass"],
 )
 def test_scalar_products_refuse_bools(value):
-    assert value * 1 == 1 * value == value
+    # a CDElement takes its scalar on the right only, so `False * value`
+    # fails for want of an operation rather than by the bool check
+    assert value * 1 == value
     with pytest.raises(TypeError, match="bool"):
         value * True
     with pytest.raises(TypeError, match="bool"):
@@ -265,3 +286,109 @@ def test_values_print_as_signed_sums():
     x_y = {(0, 0): 3, (1, 0): 1, (0, 1): -1, (2, 0): half, (1, 1): -1}
     assert str(GradedPoly(("x", "y"), (1, 1), x_y)) == "3 + x - y - 1/2*x^2 - x*y"
     assert str(GradedPoly(("x",), (1,), {})) == "0"
+
+
+LEVEL_TAKERS = {
+    "CDElement": lambda n: CDElement(n, [1, 2, 3, 4]),
+    "basis": lambda n: CDElement.basis(n, 0),
+    "basis_product": lambda n: basis_product(n, 0, 0),
+    "probe": lambda n: probe_alternative(n, samples=1),
+}
+
+
+@pytest.mark.parametrize(
+    "build, bad, error, message",
+    [
+        *(
+            pytest.param(
+                build, bad, TypeError, f"level must be an int, got the {type(bad).__name__} {bad!r}",
+                id=f"{name}-{type(bad).__name__}",
+            )
+            for name, build in LEVEL_TAKERS.items()
+            for bad in (True, 2.0, "2")
+        ),
+        pytest.param(
+            lambda w: GradedPoly(("x",), (w,), {(1,): 1}), True, ValueError, "weights must be positive integers",
+            id="GradedPoly-weight-bool",
+        ),
+        pytest.param(
+            lambda e: GradedPoly(("x",), (1,), {(e,): 1}), True, ValueError, "exponents must be non-negative integers",
+            id="GradedPoly-exponent-bool",
+        ),
+    ],
+)
+def test_levels_weights_and_exponents_refuse_non_ints(build, bad, error, message):
+    # True == 1 and 2.0 == 2, so a cached entry for 1 or 2 must not answer them
+    basis_product(1, 0, 0), basis_product(2, 0, 0)
+    with pytest.raises(error, match=re.escape(message)):
+        build(bad)
+
+
+#: The argv of each command that the reachability scan runs: every
+#: subcommand, in text and JSON where it has both
+SCAN_COMMANDS = [
+    ["classify", "6", "--samples", "5"],
+    ["classify", "6", "--samples", "5", "--json"],
+    ["classify", "--range", "1..12", "--samples", "5"],
+    ["classify", "--range", "1..12", "--samples", "5", "--json"],
+    ["lpoly", "--k", "4"],
+    ["lpoly", "--k", "4", "--latex"],
+    ["series", "q", "--order", "6"],
+    ["bernoulli", "--k", "6"],
+    ["verify-j", "--sphere", "6", "--samples", "5"],
+    ["verify-j", "--sphere", "6", "--samples", "5", "--json"],
+    *(
+        [command, "--sphere", "6", "--point", "1/2,-1,2/3,0,3,-5/7", "--u", "1,2,0,-1,1/2,3,0",
+         "--v", "0,1,-2,1/3,0,1,1", *extra, *json_flag]
+        for command, extra in (("nijenhuis", []), ("assoc-compare", ["--w", "0,0,1,1,1,0,-2"]))
+        for json_flag in ([], ["--json"])
+    ),
+]
+
+#: Public methods that no command or demo enters, each kept for a reason
+#: (README, "Value classes"); every method of the `Record` base is exempt
+UNENTERED = {
+    "CDElement.real_part",  # printed by the imaginary-input checks of sphere_acs
+    "GradedPoly.__eq__",  # every L-polynomial test compares by value
+    "GradedPoly.__bool__",  # a zero polynomial is falsy
+    "GradedPoly.__repr__",  # what a failing test prints
+    "AlternativityReport.as_dict",  # printed by the sphere-algebra benchmark program
+}
+
+
+def _public_code() -> dict:
+    """The code object of every public function and method (dunders
+    included) defined in a module of acstk, by qualified name."""
+    found = {}
+    for module in SUBMODULES:
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            for attr, member in vars(obj).items() if isinstance(obj, type) else [("", obj)]:
+                if attr.startswith("_") and not attr.endswith("__"):
+                    continue
+                # classmethod, cached_property, property, lru_cache
+                for inner in ("__func__", "func", "fget", "__wrapped__"):
+                    member = getattr(member, inner, member)
+                if hasattr(member, "__code__"):
+                    found[f"{name}.{attr}" if attr else name] = member.__code__
+    return found
+
+
+def test_every_public_method_is_reached_or_kept_on_purpose(capsys):
+    # caches would answer without entering the function they wrap
+    for module in SUBMODULES:
+        for obj in vars(module).values():
+            getattr(obj, "cache_clear", lambda: None)()
+    entered = set()
+    sys.setprofile(lambda frame, event, arg: event == "call" and entered.add(frame.f_code))
+    try:
+        codes = [cli.main(argv) for argv in SCAN_COMMANDS]
+        for demo in sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py")):
+            runpy.run_path(str(demo), run_name="__main__")
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert codes == [0] * len(SCAN_COMMANDS)
+    unentered = {name for name, code in _public_code().items() if code not in entered}
+    assert {name for name in unentered if not name.startswith("Record.")} == UNENTERED

@@ -73,7 +73,7 @@ def test_newton_polynomial_small_cases():
     t1 = GradedPoly.generator(gens3, w3, "s1")
     t2 = GradedPoly.generator(gens3, w3, "s2")
     t3 = GradedPoly.generator(gens3, w3, "s3")
-    assert newton_polynomial(3) == t1**3 - 3 * t1 * t2 + 3 * t3
+    assert newton_polynomial(3) == t1 * t1 * t1 - 3 * t1 * t2 + 3 * t3
     with pytest.raises(ValueError):
         newton_polynomial(0)
 
@@ -215,8 +215,9 @@ def test_substitute_power_sums_at_random_points():
     for k in range(1, 7):
         for m in (2, 3, 4):
             beta = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(m)]
+            roots = dict(zip(beta_variables(m), beta))
             values = {
-                f"s{j}": elementary_symmetric(m, j).evaluate(beta) if j <= m else Fraction(0)
+                f"s{j}": substitute(elementary_symmetric(m, j), roots) if j <= m else Fraction(0)
                 for j in range(1, k + 1)
             }
             assert substitute(newton_polynomial(k), values) == sum(b**k for b in beta)
@@ -239,7 +240,7 @@ def test_ring_axioms_randomized(make):
         assert a * b == b * a
         assert (a + b) * c == a * c + b * c
         assert (a * b) * c == a * (b * c)
-        assert a**3 == a * a * a
+        assert a - b == a + b * -1
         assert a - a == make(variables, {})
 
 
@@ -247,13 +248,10 @@ def test_unit_weight_diff_and_evaluate():
     variables = ("x", "y")
     x = unit_variable(variables, "x")
     y = unit_variable(variables, "y")
-    p = x**3 * y + 2 * y**2 - 7
-    assert diff(p, "x") == 3 * x**2 * y
-    assert diff(p, "y") == x**3 + 4 * y
-    assert p.evaluate([Fraction(2), Fraction(1, 2)]) == 8 * Fraction(1, 2) + Fraction(1, 2) - 7
-    assert p.evaluate({"x": 2, "y": Fraction(1, 2)}) == p.evaluate([2, Fraction(1, 2)])
-    with pytest.raises(ValueError, match="wrong number of values"):
-        p.evaluate([1])
+    p = x * x * x * y + 2 * y * y - 7
+    assert diff(p, "x") == 3 * x * x * y
+    assert diff(p, "y") == x * x * x + 4 * y
+    assert substitute(p, {"x": 2, "y": Fraction(1, 2)}) == 8 * Fraction(1, 2) + Fraction(1, 2) - 7
 
 
 def test_variable_mismatch_is_rejected():
@@ -270,14 +268,14 @@ def test_graded_poly_weights_and_truncation():
     weights = (1, 2)
     p1 = GradedPoly.generator(gens, weights, "p1")
     p2 = GradedPoly.generator(gens, weights, "p2")
-    mix = p1**2 + p2 + p1**4
-    assert mix.truncate(2) == p1**2 + p2
-    assert mix.truncate(3) == p1**2 + p2
+    mix = p1 * p1 + p2 + p1 * p1 * p1 * p1
+    assert mix.truncate(2) == p1 * p1 + p2
+    assert mix.truncate(3) == p1 * p1 + p2
     assert mix.truncate(1) == GradedPoly.zero(gens, weights)
     assert not mix.is_homogeneous()
     assert not mix.is_homogeneous(2)
-    assert (p1**2 + p2).is_homogeneous(2)
-    assert (p1**2 + p2).is_homogeneous()
+    assert (p1 * p1 + p2).is_homogeneous(2)
+    assert (p1 * p1 + p2).is_homogeneous()
     assert GradedPoly.zero(gens, weights).is_homogeneous(5)
 
 
@@ -315,5 +313,5 @@ def test_rendering_canonical_order():
     assert str(newton_polynomial(3)) == "s1^3 - 3*s1*s2 + 3*s3"
     variables = ("x",)
     x = unit_variable(variables, "x")
-    assert str(2 * x**2 - x + 1) == "1 - x + 2*x^2"
+    assert str(2 * x * x - x + 1) == "1 - x + 2*x^2"
     assert str(unit_poly(variables)) == "0"
