@@ -1,6 +1,7 @@
-"""Exact rationals, as every layer takes, stores and prints them: one rule
-for what counts as a coefficient, one common denominator for a vector of
-them, and one printer for a signed sum of terms."""
+"""Exact numbers, as every layer takes, stores and prints them: one rule
+for what counts as a coefficient, one for an integer argument, one common
+denominator for a vector of rationals, and one printer for a signed sum of
+terms."""
 
 from __future__ import annotations
 
@@ -37,6 +38,20 @@ def _frac(x) -> Fraction:
     if _exponent_exceeds(x, _EXPONENT_MAX):
         raise ValueError(f"a decimal exponent may be at most {_EXPONENT_MAX} in absolute value")
     return Fraction(x)
+
+
+def _check_int(value, noun: str, low: int | None, high: int | None = None) -> None:
+    """Refuse an integer argument (a dimension, level, index, count or
+    seed) that is not an int, or is a bool, with `TypeError`: a bool or a
+    float would be stored, and print, as itself, and a string fails inside
+    the arithmetic.  A value below `low` or above `high` raises
+    `ValueError`; a bound of None is no bound."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{noun} must be an int, got the {type(value).__name__} {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{noun} must be at least {low}, got {value}")
+    if high is not None and value > high:
+        raise ValueError(f"{noun} must be at most {high}, got {value}")
 
 
 def _exponent_exceeds(text: str, cap: int) -> bool:

@@ -43,7 +43,7 @@ from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
 
-from ._exact import Rational, _frac, _join_signed, _over_common_denominator, _term
+from ._exact import Rational, _check_int, _frac, _join_signed, _over_common_denominator, _term
 from ._record import Record
 
 #: Elements exist up to this level: the level-n product is compiled from
@@ -55,19 +55,6 @@ LEVEL_CAP = 6
 PROBE_LEVEL_CAP = 5
 
 _set = object.__setattr__
-
-
-def _check_level_int(level) -> None:
-    """A doubling level is an int; a bool would be stored, and print, as
-    itself, and a float or a string fails inside the arithmetic."""
-    if not isinstance(level, int) or isinstance(level, bool):
-        raise TypeError(f"level must be an int, got the {type(level).__name__} {level!r}")
-
-
-def _check_level_cap(level: int) -> None:
-    _check_level_int(level)
-    if not 0 <= level <= LEVEL_CAP:
-        raise ValueError(f"level must be in 0..{LEVEL_CAP}, got {level}")
 
 
 class CDElement(Record):
@@ -88,7 +75,7 @@ class CDElement(Record):
     den: int
 
     def __init__(self, level: int, coeffs: Iterable[Rational]):
-        _check_level_cap(level)
+        _check_int(level, "level", 0, LEVEL_CAP)
         coeffs = tuple(_frac(c) for c in coeffs)
         if len(coeffs) != 1 << level:
             raise ValueError(
@@ -119,11 +106,9 @@ class CDElement(Record):
     @classmethod
     def basis(cls, level: int, index: int) -> "CDElement":
         """The basis vector e_index at the given level."""
-        _check_level_cap(level)
-        dim = 1 << level
-        if not 0 <= index < dim:
-            raise ValueError(f"basis index {index} out of range for level {level}")
-        num = [0] * dim
+        _check_int(level, "level", 0, LEVEL_CAP)
+        _check_int(index, "basis index", 0, (1 << level) - 1)
+        num = [0] * (1 << level)
         num[index] = 1
         return cls._reduced(level, num, 1)
 
@@ -223,12 +208,12 @@ def basis_product(level: int, i: int, j: int) -> tuple[int, int]:
 
     Computed by structural induction on the doubling rule; products of
     basis vectors are always signed basis vectors.  Levels run from 0 to
-    `LEVEL_CAP`.  The cache is typed, so a level of True or 2.0 is not
-    served the entry of 1 or 2 but reaches the level check.
+    `LEVEL_CAP`.  The cache is typed, so an argument of True or 2.0 is not
+    served the entry of 1 or 2 but reaches its check.
     """
-    _check_level_cap(level)
-    if not (0 <= i < 1 << level and 0 <= j < 1 << level):
-        raise ValueError(f"basis indices ({i}, {j}) out of range for level {level}")
+    _check_int(level, "level", 0, LEVEL_CAP)
+    _check_int(i, "basis index", 0, (1 << level) - 1)
+    _check_int(j, "basis index", 0, (1 << level) - 1)
     if level == 0:
         return (1, 0)
     h = 1 << (level - 1)
@@ -387,16 +372,12 @@ def probe_alternative(level: int, samples: int = 200, seed: int = 0) -> Alternat
     the random scan runs to the end, and its first witness is reported only
     when they found none.  A witness's associator is computed from its own
     u and v with the exact product, not read off the structure table.  A
-    level that is not an int raises `TypeError`, a negative level or
-    sample count `ValueError`.
+    level, sample count or seed that is not an int raises `TypeError`, a
+    level outside 0..PROBE_LEVEL_CAP or a negative count `ValueError`.
     """
-    _check_level_int(level)
-    if level < 0:
-        raise ValueError(f"probe level must be nonnegative, got {level}")
-    if level > PROBE_LEVEL_CAP:
-        raise ValueError(f"probe level {level} exceeds the cost cap {PROBE_LEVEL_CAP}")
-    if samples < 0:
-        raise ValueError(f"probe samples must be nonnegative, got {samples}")
+    _check_int(level, "probe level", 0, PROBE_LEVEL_CAP)
+    _check_int(samples, "probe samples", 0)
+    _check_int(seed, "seed", None)
     e = [CDElement.basis(level, i) for i in range(1 << level)]
     checks, witness = [0, 0], None  # basis checks, random checks
     for slot, scan in (

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._exact import _frac
+from ._exact import _check_int, _frac
 from ._record import Record
 
 
@@ -124,8 +124,7 @@ def replay_lemma_pontryagin_euler(k: int) -> LemmaReplay:
     symbol c_{2k}(T) itself, as x); the Euler pairing <c_{2k}(T)> = 2
     enters at the end.
     """
-    if k < 1:
-        raise ValueError(f"the argument applies to S^{{4k}} with k >= 1, got k = {k}")
+    _check_int(k, "k", 1)
     m = 4 * k
     one = SphereCohomologyClass(m, 1, 0)
     x = SphereCohomologyClass(m, 0, 1)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from ._exact import _check_int
 from ._record import Record
 from .char_class import (
     AX_COMPLEX_TANGENT_SPLITS,
@@ -74,24 +75,10 @@ class SphereVerdict(Record):
         }
 
 
-def _check_int(n) -> None:
-    """A sphere dimension is an int; a bool or a float would print as
-    itself in the certificate's "n"."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError(f"sphere dimension must be an int, got the {type(n).__name__} {n!r}")
-
-
-def _check_dimension(n: int) -> None:
-    """A sphere dimension is an int of at least 1."""
-    _check_int(n)
-    if n < 1:
-        raise ValueError(f"sphere dimension must be at least 1, got {n}")
-
-
 def check_odd(n: int) -> dict | None:
     """Odd dimensions fall to the determinant parity argument; recorded
     as an axiom since no further computation exists at this level."""
-    _check_dimension(n)
+    _check_int(n, "sphere dimension", 1)
     if n % 2 == 0:
         return None
     return {
@@ -108,7 +95,7 @@ def check_odd(n: int) -> dict | None:
 
 def check_pontryagin_euler(n: int) -> dict | None:
     """For n = 4k, replay the top-Pontryagin/Euler contradiction."""
-    _check_dimension(n)
+    _check_int(n, "sphere dimension", 1)
     if n % 4 != 0:
         return None
     k = n // 4
@@ -127,7 +114,7 @@ def check_signature(n: int) -> dict:
     """Second, independent route for n = 4k: the signature of S^{4k} is
     zero, yet an almost complex structure would force it to be
     (-1)^k * 4 * s_k with s_k > 0.  Stores s_k exactly."""
-    _check_dimension(n)
+    _check_int(n, "sphere dimension", 1)
     if n % 4 != 0:
         raise ValueError(f"the signature route applies to S^{{4k}}, got n = {n}")
     k = n // 4
@@ -152,7 +139,7 @@ def check_chern_divisibility(n: int) -> dict | None:
     rank-m complex tangent bundle whose only class is c_m.  Integrality
     plus the Euler pairing <c_m> = 2 force (m-1)! to divide 2; return a
     certificate when it does not."""
-    _check_int(n)
+    _check_int(n, "sphere dimension", None)
     if n % 2 != 0 or n < 2:
         raise ValueError(f"the divisibility route applies to S^{{2m}} with m >= 1, got n = {n}")
     m = n // 2
@@ -222,9 +209,9 @@ def classify_sphere(n: int, samples: int = 25, seed: int = 0) -> SphereVerdict:
     """Classify S^n, attaching the certificate of the first route in
     `ROUTES` that fires, or sampling evidence for the explicit construction
     when none does (exactly at n = 2 and n = 6)."""
-    _check_dimension(n)
-    if samples < 1:
-        raise ValueError(f"need at least 1 sample, got {samples}")
+    _check_int(n, "sphere dimension", 1)
+    _check_int(samples, "samples", 1)
+    _check_int(seed, "seed", None)
     for reason, check, axioms, _ in ROUTES:
         certificate = check(n)
         if certificate is not None:
@@ -252,8 +239,8 @@ def classify_sphere(n: int, samples: int = 25, seed: int = 0) -> SphereVerdict:
 
 def classify_range(start: int, stop: int, samples: int = 25, seed: int = 0) -> list[SphereVerdict]:
     """Classify every dimension in the inclusive range [start, stop]."""
-    _check_dimension(start)
-    _check_dimension(stop)
+    _check_int(start, "sphere dimension", 1)
+    _check_int(stop, "sphere dimension", 1)
     if stop < start:
         raise ValueError(f"invalid range {start}..{stop}")
     return [classify_sphere(n, samples=samples, seed=seed) for n in range(start, stop + 1)]

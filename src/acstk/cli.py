@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import classify as classify_mod
-from ._exact import _exponent_exceeds
+from ._exact import _check_int, _exponent_exceeds
 from .cayley_dickson import CDElement
 from .errors import InternalInvariantError
 from .genera import bernoulli, l_polynomial, q_coefficient
@@ -69,15 +69,6 @@ def _parse_rationals(text: str, what: str) -> list[Fraction]:
         return [Fraction(part) for part in parts]
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"could not parse {what} as comma-separated rationals: {text!r}")
-
-
-def _check_bounds(name: str, value: int, low: int | None, high: int) -> None:
-    """Refuse `value` outside low..high.  A low of None leaves the lower
-    bound to the library call, which refuses it with its own message."""
-    if low is not None and value < low:
-        raise ValueError(f"{name} must be at least {low}")
-    if value > high:
-        raise ValueError(f"{name} must be at most {high}")
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -183,8 +174,8 @@ def _cmd_classify(args) -> int:
     if (args.n is None) == (args.range_ is None):
         raise ValueError("classify needs exactly one of a dimension or --range A..B")
     a, b = (args.n, args.n) if args.range_ is None else _parse_range(args.range_)
-    _check_bounds("classify dimensions", b, None, CLASSIFY_MAX_N)
-    _check_bounds("--samples", args.samples, None, SAMPLES_MAX)
+    _check_int(b, "classify dimensions", None, CLASSIFY_MAX_N)
+    _check_int(args.samples, "--samples", 1, SAMPLES_MAX)
     if args.range_ is not None:
         verdicts = classify_mod.classify_range(a, b, samples=args.samples, seed=args.seed)
     else:
@@ -203,7 +194,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_lpoly(args) -> int:
-    _check_bounds("--k", args.k, 1, LPOLY_MAX_K)
+    _check_int(args.k, "--k", 1, LPOLY_MAX_K)
     for k in range(1, args.k + 1):
         poly = l_polynomial(k)
         print(f"L_{k} = {poly.latex() if args.latex else poly}")
@@ -211,14 +202,14 @@ def _cmd_lpoly(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    _check_bounds("--order", args.order, 0, SERIES_MAX_ORDER)
+    _check_int(args.order, "--order", 0, SERIES_MAX_ORDER)
     for k in range(args.order + 1):
         print(f"z^{k}: {q_coefficient(k)}")
     return 0
 
 
 def _cmd_verify_j(args) -> int:
-    _check_bounds("--samples", args.samples, None, SAMPLES_MAX)
+    _check_int(args.samples, "--samples", 1, SAMPLES_MAX)
     report = verify_j_structure(args.sphere, samples=args.samples, seed=args.seed)
     if args.json:
         _print_json(report.as_dict())
@@ -268,7 +259,7 @@ def _cmd_assoc_compare(args) -> int:
 
 
 def _cmd_bernoulli(args) -> int:
-    _check_bounds("--k", args.k, 1, BERNOULLI_MAX_K)
+    _check_int(args.k, "--k", 1, BERNOULLI_MAX_K)
     for k in range(1, args.k + 1):
         print(f"B_{k} = {bernoulli(k)}")
     return 0

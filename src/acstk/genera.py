@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import lshift
 
-from ._exact import _over_common_denominator
+from ._exact import _check_int, _over_common_denominator
 from .errors import InternalInvariantError
 from .symfun import GradedPoly, newton_polynomial, power_sums_from_values
 
@@ -49,12 +49,11 @@ def _tangent_number(k: int) -> int:
     return _TANGENT[k - 1]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def bernoulli(k: int) -> Fraction:
     """The k-th positive Bernoulli number (1/6, 1/30, 1/42, ...), from the
     k-th tangent number: B_k = 2k T_k / (4^k (4^k - 1))."""
-    if k < 1:
-        raise ValueError(f"bernoulli numbers are indexed from 1, got {k}")
+    _check_int(k, "k", 1)
     b = Fraction(2 * k * _tangent_number(k), 4**k * (4**k - 1))
     if b <= 0:
         raise InternalInvariantError(f"Bernoulli number B_{k} = {b} is not positive")
@@ -65,14 +64,13 @@ def q_coefficient(k: int) -> Fraction:
     """q_k, the z^k coefficient of the signature series
     Q(z) = sqrt(z)/tanh(sqrt(z)) = 1 + z/3 - z^2/45 + ..., from the closed
     form q_k = (-1)^(k-1) 2^(2k)/(2k)! * B_k, with q_0 = 1."""
-    if k < 0:
-        raise ValueError(f"q-coefficients are indexed from 0, got {k}")
+    _check_int(k, "k", 0)
     if k == 0:
         return Fraction(1)
     return Fraction((-4) ** k, -math.factorial(2 * k)) * bernoulli(k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def s_coefficient(k: int) -> Fraction:
     """s_k = 2^(2k) (2^(2k-1) - 1) / (2k)! * B_k, with s_0 = 1.
 
@@ -80,8 +78,7 @@ def s_coefficient(k: int) -> Fraction:
     coefficient of the generating series 1/2 + t/sin(2t) with z = t^2; the
     three routes agree exactly.
     """
-    if k < 0:
-        raise ValueError("s-coefficients are indexed from 0")
+    _check_int(k, "k", 0)
     if k == 0:
         return Fraction(1)
     return (
@@ -102,7 +99,7 @@ def _numerators(poly: GradedPoly, shifts: range) -> tuple[dict, int]:
     return dict(zip((sum(map(lshift, exps, shifts)) for exps in poly.terms), nums)), den
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def l_polynomial(k: int) -> GradedPoly:
     """The k-th L-polynomial in p_1..p_k (weights 1..k):
     L_1 = p1/3, L_2 = (7 p2 - p1^2)/45, ...
@@ -122,8 +119,7 @@ def l_polynomial(k: int) -> GradedPoly:
     field carries).  Checked against the signature theorem on CP^{2k}:
     with p_j = C(2k+1, j) the value of L_k must be sigma(CP^{2k}) = 1.
     """
-    if k < 1:
-        raise ValueError(f"L-polynomials are indexed from 1, got {k}")
+    _check_int(k, "k", 1)
     width = k.bit_length()
     shifts = range(0, width * k, width)
     # (j a_j, nu_j, E_{k-j} and its denominator) for j = 1..k; nu_j is integral
@@ -167,10 +163,8 @@ def chern_character(rank: int, chern: Sequence[GradedPoly], max_weight: int) -> 
     1 + t + t^2/2! + ...; it is additive under direct sums and
     multiplicative under tensor products of formal root models.
     """
-    if rank < 1:
-        raise ValueError(f"rank must be positive, got {rank}")
-    if max_weight < 0:
-        raise ValueError(f"max_weight must be non-negative, got {max_weight}")
+    _check_int(rank, "rank", 1)
+    _check_int(max_weight, "max_weight", 0)
     chern = list(chern)
     if len(chern) < rank:
         raise ValueError(

@@ -61,7 +61,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from operator import mul
 
-from ._exact import _frac, _over_common_denominator
+from ._exact import _check_int, _frac, _over_common_denominator
 from ._record import Record
 from .cayley_dickson import CDElement, _kernel, _random_pairs, associator
 from .errors import InternalInvariantError
@@ -71,6 +71,7 @@ SPHERE_LEVEL = {2: 2, 6: 3}
 
 
 def _level_for(sphere_dim: int) -> int:
+    _check_int(sphere_dim, "sphere dimension", None)
     if sphere_dim not in SPHERE_LEVEL:
         raise ValueError(f"sphere dimension must be 2 or 6, got {sphere_dim}")
     return SPHERE_LEVEL[sphere_dim]
@@ -316,8 +317,8 @@ def verify_j_structure(sphere_dim: int, samples: int, seed: int = 0) -> JVerific
     read false.  Only the reported example, the first sample, becomes a
     `CDElement`."""
     level = _level_for(sphere_dim)
-    if samples < 1:
-        raise ValueError(f"need at least 1 sample, got {samples}")
+    _check_int(samples, "samples", 1)
+    _check_int(seed, "seed", None)
     rng = random.Random(seed)
     squared = tangent = normed = True
     example = None

@@ -22,7 +22,7 @@ from functools import lru_cache
 from math import factorial, prod
 from operator import add
 
-from ._exact import Rational, _frac, _join_signed, _term
+from ._exact import Rational, _check_int, _frac, _join_signed, _term
 
 
 def _unit_exponents(generators: tuple, name: str) -> tuple:
@@ -54,16 +54,16 @@ class GradedPoly:
             raise ValueError("one weight per generator is required")
         if len(set(self.generators)) != len(self.generators):
             raise ValueError(f"generator names must be distinct, got {self.generators}")
-        if not all(isinstance(w, int) and not isinstance(w, bool) and w > 0 for w in self.weights):
-            raise ValueError(f"generator weights must be positive integers, got {self.weights}")
+        for w in self.weights:
+            _check_int(w, "generator weight", 1)
         clean = {}
         n = len(self.generators)
         for exps, coeff in terms.items():
             exps = tuple(exps)
             if len(exps) != n:
                 raise ValueError(f"exponent vector {exps} does not match {n} generators")
-            if not all(isinstance(e, int) and not isinstance(e, bool) and e >= 0 for e in exps):
-                raise ValueError(f"exponents must be non-negative integers, got {exps}")
+            for e in exps:
+                _check_int(e, "exponent", 0)
             c = _frac(coeff)
             if c != 0:
                 clean[exps] = c
@@ -269,15 +269,14 @@ def _partitions(n: int, largest: int):
             yield rest + [m]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def newton_polynomial(k: int) -> GradedPoly:
     """The k-th Newton polynomial nu_k as a graded polynomial in s1..sk,
     s_j of weight j, by the Girard-Waring formula: over the partitions of
     k, the monomial prod s_i^(r_i), with l = sum r_i, has the integer
     coefficient (-1)^(k+l) k (l-1)! / prod r_i!.  The Newton recursion run
     on the generators gives the same polynomial."""
-    if k < 1:
-        raise ValueError(f"newton polynomials are indexed from 1, got {k}")
+    _check_int(k, "k", 1)
     terms = {}
     for r in _partitions(k, k):
         l = sum(r)

@@ -272,10 +272,10 @@ def test_chern_character_errors():
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: q_coefficient(-1), "indexed from 0, got -1"),
+        (lambda: q_coefficient(-1), "^k must be at least 0, got -1$"),
         (
             lambda: chern_character(1, [GradedPoly.generator(("t",), (1,), "t")], max_weight=-1),
-            "max_weight must be non-negative",
+            "^max_weight must be at least 0, got -1$",
         ),
     ],
     ids=["series-coefficient-below-0", "chern-max-weight-below-0"],

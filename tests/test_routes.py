@@ -1,6 +1,7 @@
 """The route table of `acstk.classify`: every route against every other
 and against the default verdict, and the spans a traced run sees."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -129,3 +130,49 @@ def test_traced_classify_sees_every_route_call(tmp_path):
         "classify.check_chern_divisibility": 4,
         "genera.chern_character": 4,
     }
+
+
+#: Each route check with a dimension it decides, run alone in a fresh
+#: process so that no cache answers for it
+ROUTE_RUNS = {"check_odd": 7, "check_signature": 12, "check_pontryagin_euler": 12, "check_chern_divisibility": 10}
+
+#: The only functions two routes may share: the integer-argument rule and
+#: the coefficient rule.  A new shared helper must be named here, with its
+#: reason in CHANGES.md.
+SHARED = {"_exact._check_int", "_exact._frac"}
+
+_ENTERED = """
+import os, sys
+from acstk import classify
+home, entered = os.path.dirname(classify.__file__), set()
+
+def hook(frame, event, arg):
+    code = frame.f_code
+    if event == "call" and os.path.dirname(code.co_filename) == home:
+        entered.add(os.path.basename(code.co_filename)[:-3] + "." + code.co_qualname)
+
+check = getattr(classify, sys.argv[1])
+sys.setprofile(hook)
+check(int(sys.argv[2]))
+sys.setprofile(None)
+print("\\n".join(sorted(entered)))
+"""
+
+
+def _entered(check: str, n: int) -> set:
+    """The `module.qualname` of every acstk function that check(n) enters."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _ENTERED, check, str(n)], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_routes_share_only_the_argument_and_coefficient_rules():
+    entered = {check: _entered(check, n) for check, n in ROUTE_RUNS.items()}
+    for check, functions in entered.items():
+        assert {f"classify.{check}", "_exact._check_int"} <= functions, check
+    for (a, first), (b, second) in itertools.combinations(entered.items(), 2):
+        assert first & second <= SHARED, (a, b, sorted(first & second - SHARED))

@@ -3,6 +3,7 @@ constructors accept, and what it no longer provides anywhere."""
 
 import ast
 import importlib
+import itertools
 import os
 import pkgutil
 import re
@@ -17,7 +18,24 @@ from pathlib import Path
 import pytest
 
 import acstk
-from acstk import CDElement, GradedPoly, SphereCohomologyClass, basis_product, cli, probe_alternative
+from acstk import (
+    CDElement,
+    GradedPoly,
+    SphereCohomologyClass,
+    basis_product,
+    bernoulli,
+    chern_character,
+    classify_sphere,
+    cli,
+    l_polynomial,
+    newton_polynomial,
+    probe_alternative,
+    q_coefficient,
+    rational_sphere_point,
+    replay_lemma_pontryagin_euler,
+    s_coefficient,
+    verify_j_structure,
+)
 
 SUBMODULES = [
     importlib.import_module(f"acstk.{info.name}") for info in pkgutil.iter_modules(acstk.__path__)
@@ -308,11 +326,11 @@ LEVEL_TAKERS = {
             for bad in (True, 2.0, "2")
         ),
         pytest.param(
-            lambda w: GradedPoly(("x",), (w,), {(1,): 1}), True, ValueError, "weights must be positive integers",
+            lambda w: GradedPoly(("x",), (w,), {(1,): 1}), True, TypeError, "generator weight must be an int, got the bool True",
             id="GradedPoly-weight-bool",
         ),
         pytest.param(
-            lambda e: GradedPoly(("x",), (1,), {(e,): 1}), True, ValueError, "exponents must be non-negative integers",
+            lambda e: GradedPoly(("x",), (1,), {(e,): 1}), True, TypeError, "exponent must be an int, got the bool True",
             id="GradedPoly-exponent-bool",
         ),
     ],
@@ -322,6 +340,76 @@ def test_levels_weights_and_exponents_refuse_non_ints(build, bad, error, message
     basis_product(1, 0, 0), basis_product(2, 0, 0)
     with pytest.raises(error, match=re.escape(message)):
         build(bad)
+
+
+#: c_1 of a line bundle, for `chern_character`
+T = GradedPoly.generator(("t",), (1,), "t")
+
+#: The integer parameters of the public API that gained their type check in
+#: 0.13.0, as (the noun their refusal names, a call that passes the value)
+INT_TAKERS = {
+    "classify_sphere-samples": ("samples", lambda x: classify_sphere(6, samples=x)),
+    "classify_sphere-seed": ("seed", lambda x: classify_sphere(6, seed=x)),
+    "verify_j_structure-sphere": ("sphere dimension", lambda x: verify_j_structure(x, 1)),
+    "verify_j_structure-samples": ("samples", lambda x: verify_j_structure(6, samples=x)),
+    "verify_j_structure-seed": ("seed", lambda x: verify_j_structure(6, 1, seed=x)),
+    "rational_sphere_point-sphere": ("sphere dimension", lambda x: rational_sphere_point(x, [0, 0])),
+    "probe-samples": ("probe samples", lambda x: probe_alternative(2, samples=x)),
+    "probe-seed": ("seed", lambda x: probe_alternative(2, seed=x)),
+    "bernoulli": ("k", bernoulli),
+    "q_coefficient": ("k", q_coefficient),
+    "s_coefficient": ("k", s_coefficient),
+    "l_polynomial": ("k", l_polynomial),
+    "newton_polynomial": ("k", newton_polynomial),
+    "replay_lemma_pontryagin_euler": ("k", replay_lemma_pontryagin_euler),
+    "chern_character-rank": ("rank", lambda x: chern_character(x, [T], max_weight=1)),
+    "chern_character-max_weight": ("max_weight", lambda x: chern_character(1, [T], max_weight=x)),
+    "basis-index": ("basis index", lambda x: CDElement.basis(2, x)),
+    "basis_product-i": ("basis index", lambda x: basis_product(2, x, 1)),
+    "basis_product-j": ("basis index", lambda x: basis_product(2, 1, x)),
+}
+
+
+@pytest.mark.parametrize(
+    "noun, call, bad",
+    [
+        *(
+            pytest.param(noun, call, bad, id=f"{name}-{type(bad).__name__}")
+            for name, (noun, call) in INT_TAKERS.items()
+            for bad in (True, 2.0, "2")
+        ),
+        # these returned a value before 0.13.0, as did the bool cases of
+        # verify_j_structure samples ("samples": true), replay ("k": true)
+        # and CDElement.basis (e1)
+        pytest.param("seed", INT_TAKERS["classify_sphere-seed"][1], "x", id="classify_sphere-seed-x"),
+        pytest.param("basis index", INT_TAKERS["basis_product-i"][1], 1.0, id="basis_product-i-1.0"),
+    ],
+)
+def test_integer_arguments_refuse_non_ints(noun, call, bad):
+    # the caches are typed: an entry for 1 or 2 must not answer True or 2.0
+    for cached in (bernoulli, s_coefficient, l_polynomial, newton_polynomial):
+        cached(1), cached(2)
+    for i, j in itertools.product(range(4), repeat=2):
+        basis_product(2, i, j)
+    message = f"{noun} must be an int, got the {type(bad).__name__} {bad!r}"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        call(bad)
+
+
+def test_only_the_integer_rule_names_bool_in_an_isinstance_check():
+    # _exact._check_int is the one integer-argument rule (and _exact._frac
+    # refuses a bool coefficient); a copy of either elsewhere fails here
+    copies = []
+    for path in sorted(Path(acstk.__file__).parent.glob("*.py")):
+        if path.name == "_exact.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+                and any(isinstance(name, ast.Name) and name.id == "bool" for name in ast.walk(node))
+            ):
+                copies.append(f"{path.name}:{node.lineno}")
+    assert copies == []
 
 
 #: The argv of each command that the reachability scan runs: every

@@ -280,20 +280,20 @@ def test_graded_poly_weights_and_truncation():
 
 
 @pytest.mark.parametrize(
-    "generators, weights, terms, message",
+    "generators, weights, terms, error, message",
     [
-        (("x",), (1,), {(-1,): 1}, "non-negative integers"),
-        (("x",), (1,), {(1.5,): 1}, "non-negative integers"),
-        (("x",), (1.5,), {(1,): 1}, "weights must be positive"),
-        (("x",), (0,), {(1,): 1}, "weights must be positive"),
-        (("x", "x"), (1, 1), {(1, 0): 1}, "distinct"),
-        (("x", "y"), (1,), {}, "one weight per generator"),
+        (("x",), (1,), {(-1,): 1}, ValueError, "^exponent must be at least 0, got -1$"),
+        (("x",), (1,), {(1.5,): 1}, TypeError, "^exponent must be an int, got the float 1.5$"),
+        (("x",), (1.5,), {(1,): 1}, TypeError, "^generator weight must be an int, got the float 1.5$"),
+        (("x",), (0,), {(1,): 1}, ValueError, "^generator weight must be at least 1, got 0$"),
+        (("x", "x"), (1, 1), {(1, 0): 1}, ValueError, "distinct"),
+        (("x", "y"), (1,), {}, ValueError, "one weight per generator"),
     ],
     ids=["negative-exponent", "fractional-exponent", "fractional-weight", "zero-weight",
          "repeated-name", "missing-weight"],
 )
-def test_constructor_rejects_malformed_input(generators, weights, terms, message):
-    with pytest.raises(ValueError, match=message):
+def test_constructor_rejects_malformed_input(generators, weights, terms, error, message):
+    with pytest.raises(error, match=message):
         GradedPoly(generators, weights, terms)
 
 
