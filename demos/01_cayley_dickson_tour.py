@@ -3,7 +3,7 @@
 Run: python demos/01_cayley_dickson_tour.py
 """
 
-from acstk import CDElement, associator, probe_alternative
+from acstk import CDElement, associator, basis_product, probe_alternative
 
 e = CDElement.basis
 
@@ -11,6 +11,9 @@ print("== level 2: quaternions ==")
 print("e1*e2 =", e(2, 1) * e(2, 2))
 print("e2*e1 =", e(2, 2) * e(2, 1))
 print("e1^2  =", e(2, 1) * e(2, 1))
+print("e_i*e_j from the structure constants (row i, column j):")
+for i in range(4):
+    print("  ", *(f"{'-' if sign < 0 else '+'}e{k}" for sign, k in (basis_product(2, i, j) for j in range(4))))
 
 a = CDElement(2, (1, 2, 3, 4))
 print("a =", a)

@@ -20,13 +20,15 @@ The doubling rule
 
     (a1, a2) * (b1, b2) = (a1*b1 - conj(b2)*a2,  b2*a1 + a2*conj(b1))
 
-with conj(x1, x2) = (conj(x1), -x2) is encoded once, in the structure
-constants `basis_product` (e_i * e_j = +-e_k).  Indices compose by XOR,
-so coefficient k of a*b is one signed dot product sum_i a_i * (+-b_{i^k})
-of numerators, over the product of the denominators.  On first use at a
-level those constants are compiled into one straight-line function that
-unpacks a0..a{d-1} and b0..b{d-1} and returns the d signed dot products
-(4^level terms, which is why levels stop at `LEVEL_CAP`).
+with conj(x1, x2) = (conj(x1), -x2) is encoded once, in one sign table
+per level (`_signs`, built from the level below): e_i * e_j =
+s[i][j] * e_{i^j}, and `basis_product` reads its entries.  Indices
+compose by XOR, so coefficient k of a*b is one signed dot product
+sum_i s[i][i^k] a_i b_{i^k} of numerators, over the product of the
+denominators.  On first use at a level the table is compiled into one
+straight-line function that unpacks a0..a{d-1} and b0..b{d-1} and
+returns the d signed dot products (4^level terms, which is why levels
+stop at `LEVEL_CAP`).
 `associator` (and `cross` in `sphere_acs`) reduce only their result.
 Basis vectors are written e_0 = 1, e_1, ..., e_{2^n - 1}; with this
 convention the level-2 basis satisfies e1*e2 = e3, e2*e3 = e1,
@@ -202,73 +204,56 @@ def associator(u: CDElement, v: CDElement, w: CDElement) -> CDElement:
     return CDElement._reduced(level, [x - y for x, y in zip(left, right)], u.den * v.den * w.den)
 
 
-@lru_cache(maxsize=None, typed=True)
 def basis_product(level: int, i: int, j: int) -> tuple[int, int]:
-    """Structure constants: e_i * e_j = sign * e_k, returned as (sign, k).
-
-    Computed by structural induction on the doubling rule; products of
-    basis vectors are always signed basis vectors.  Levels run from 0 to
-    `LEVEL_CAP`.  The cache is typed, so an argument of True or 2.0 is not
-    served the entry of 1 or 2 but reaches its check.
-    """
+    """Structure constants: e_i * e_j = sign * e_k with k = i XOR j, returned
+    as (sign, k) from the sign table `_signs`.  Levels run from 0 to `LEVEL_CAP`."""
     _check_int(level, "level", 0, LEVEL_CAP)
     _check_int(i, "basis index", 0, (1 << level) - 1)
     _check_int(j, "basis index", 0, (1 << level) - 1)
+    return (_signs(level)[i][j], i ^ j)
+
+
+@lru_cache(maxsize=None)
+def _signs(level: int) -> tuple[tuple[int, ...], ...]:
+    """The sign table s of `level`: e_i * e_j = s[i][j] * e_{i^j}.
+
+    Built from the table t of level - 1 by the doubling rule's quadrants:
+    for i, j < h = 2^(level-1) and c_j = 1 if j == 0 else -1 (conjugation),
+    s[i][j] = t[i][j], s[i][j+h] = t[j][i], s[i+h][j] = c_j t[i][j] and
+    s[i+h][j+h] = -c_j t[j][i].  The index is XOR by induction: on level - 1
+    it is k' = i^j < h, the off-diagonal quadrants land on k' + h = k' ^ h,
+    and the diagonal ones on k' = (i+h) ^ (j+h).  Callers check `level`."""
     if level == 0:
-        return (1, 0)
-    h = 1 << (level - 1)
-    if i < h and j < h:
-        return basis_product(level - 1, i, j)
-    if i < h and j >= h:
-        s, k = basis_product(level - 1, j - h, i)
-        return (s, k + h)
-    if i >= h and j < h:
-        s, k = basis_product(level - 1, i - h, j)
-        return (s if j == 0 else -s, k + h)
-    s, k = basis_product(level - 1, j - h, i - h)
-    if j - h != 0:
-        s = -s
-    return (-s, k)
+        return ((1,),)
+    t = _signs(level - 1)
+    c = (1,) + (-1,) * (len(t) - 1)
+    rows = list(zip(t, zip(*t)))  # (row i, column i) of t
+    return tuple(row + col for row, col in rows) + tuple(
+        tuple(map(mul, row, c)) + tuple(-x * y for x, y in zip(col, c)) for row, col in rows
+    )
 
 
 @lru_cache(maxsize=None)
 def _kernel(level: int):
-    """The product of numerator vectors at `level`, compiled from the
-    structure constants: a straight-line function of (a, b) returning the
-    list of coefficients sum_i s_i a_i b_{i^k}, where e_i * e_{i^k} = s_i e_k."""
-    dim = 1 << level
-    rows = []
-    for k in range(dim):
-        terms = []
-        for i in range(dim):
-            sign, index = basis_product(level, i, i ^ k)
-            if index != k:
-                raise AssertionError("basis product off the XOR index")
-            terms.append(f"{'-' if sign < 0 else '+'} a{i}*b{i ^ k}")
-        rows.append(" ".join(terms).removeprefix("+ "))
+    """The product of numerator vectors at `level`, compiled from the sign
+    table: a straight-line function of (a, b) returning the list of
+    coefficients sum_i s[i][i^k] a_i b_{i^k}."""
+    signs, dim = _signs(level), 1 << level
+    rows = [
+        " ".join(f"{'-' if signs[i][i ^ k] < 0 else '+'} a{i}*b{i ^ k}" for i in range(dim)).removeprefix("+ ")
+        for k in range(dim)
+    ]
     unpack = "".join(f"    {', '.join(f'{x}{i}' for i in range(dim))}, = {x}\n" for x in "ab")
     namespace = {}
     exec(f"def product(a, b):\n{unpack}    return [{', '.join(rows)}]\n", namespace)
     return namespace["product"]
 
 
-def _basis_associator(level: int, a: int, b: int, c: int) -> tuple[int, int] | None:
-    """[e_a, e_b, e_c] via the structure table: None when it vanishes,
-    otherwise (coefficient, index).  Both triple products land on the same
-    basis index (indices compose by XOR), so the associator is either zero
-    or +-2 times one basis vector."""
-    s1, m = basis_product(level, a, b)
-    s2, x = basis_product(level, m, c)
-    t1, m2 = basis_product(level, b, c)
-    t2, y = basis_product(level, a, m2)
-    left = (s1 * s2, x)
-    right = (t1 * t2, y)
-    if left == right:
-        return None
-    if x != y:
-        # cannot happen for signed-basis products, but fail loudly
-        raise AssertionError("basis associator with mismatched indices")
-    return (left[0] - right[0], x)
+def _basis_associator(signs, a: int, b: int, c: int) -> int:
+    """The coefficient of e_{a^b^c} in [e_a, e_b, e_c], from the sign table
+    `signs`: both triple products land on that basis vector, so the
+    associator is 0 or +-2 times it."""
+    return signs[a][b] * signs[a ^ b][c] - signs[b][c] * signs[a][b ^ c]
 
 
 def _random_pairs(rng: random.Random, count: int, max_num: int, max_den: int) -> list[tuple[int, int]]:
@@ -319,23 +304,23 @@ class AlternativityReport(Record):
         return out
 
 
-def _repeated_argument_witnesses(level: int, e: list):
+def _repeated_argument_witnesses(signs, e: list):
     """Per basis triple [e_i, e_i, e_j], [e_i, e_j, e_j], [e_i, e_j, e_i]:
     the witness (form, e_i, e_j, associator) or None.  In every level of the
     tower these vanish, but the scan is cheap and keeps the claim honest."""
     for i, j in itertools.product(range(len(e)), repeat=2):
         for (a, b, c), form in (((i, i, j), "[u,u,v]"), ((i, j, j), "[u,v,v]"), ((i, j, i), "[u,v,u]")):
-            val = _basis_associator(level, a, b, c) and associator(e[a], e[b], e[c])
+            val = _basis_associator(signs, a, b, c) and associator(e[a], e[b], e[c])
             yield (form, e[i], e[j], val) if val else None
 
 
-def _antisymmetry_witnesses(level: int, e: list):
+def _antisymmetry_witnesses(signs, e: list):
     """Per basis triple (i < j, k): None when [e_i, e_j, e_k] = -[e_j, e_i, e_k],
     else the repeated-argument witness ("[u,u,v]", u, v, [u, u, v]) of
     u = e_i + e_j, v = e_k (None should that associator vanish)."""
     for (i, j), k in itertools.product(itertools.combinations(range(len(e)), 2), range(len(e))):
-        lhs, rhs = _basis_associator(level, i, j, k), _basis_associator(level, j, i, k)
-        val = rhs != (lhs and (-lhs[0], lhs[1])) and associator(e[i] + e[j], e[i] + e[j], e[k])
+        lhs, rhs = _basis_associator(signs, i, j, k), _basis_associator(signs, j, i, k)
+        val = rhs != -lhs and associator(e[i] + e[j], e[i] + e[j], e[k])
         yield ("[u,u,v]", e[i] + e[j], e[k], val) if val else None
 
 
@@ -371,17 +356,17 @@ def probe_alternative(level: int, samples: int = 200, seed: int = 0) -> Alternat
     repeated-argument triples.  The basis scans stop at the first witness;
     the random scan runs to the end, and its first witness is reported only
     when they found none.  A witness's associator is computed from its own
-    u and v with the exact product, not read off the structure table.  A
+    u and v with the exact product, not read off the sign table.  A
     level, sample count or seed that is not an int raises `TypeError`, a
     level outside 0..PROBE_LEVEL_CAP or a negative count `ValueError`.
     """
     _check_int(level, "probe level", 0, PROBE_LEVEL_CAP)
     _check_int(samples, "probe samples", 0)
     _check_int(seed, "seed", None)
-    e = [CDElement.basis(level, i) for i in range(1 << level)]
+    e, signs = [CDElement.basis(level, i) for i in range(1 << level)], _signs(level)
     checks, witness = [0, 0], None  # basis checks, random checks
     for slot, scan in (
-        (0, itertools.chain(_repeated_argument_witnesses(level, e), _antisymmetry_witnesses(level, e))),
+        (0, itertools.chain(_repeated_argument_witnesses(signs, e), _antisymmetry_witnesses(signs, e))),
         (1, _random_witnesses(level, samples, seed)),
     ):
         for found in scan:

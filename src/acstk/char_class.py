@@ -24,6 +24,7 @@ class SphereCohomologyClass(Record):
     scalar_top: Fraction
 
     def __post_init__(self):
+        _check_int(self.sphere_dim, "sphere dimension", 1)
         object.__setattr__(self, "scalar0", _frac(self.scalar0))
         object.__setattr__(self, "scalar_top", _frac(self.scalar_top))
 

@@ -166,14 +166,13 @@ class GradedPoly:
         return sum(w * e for w, e in zip(self.weights, exps))
 
     def is_homogeneous(self, weight: int | None = None) -> bool:
+        if weight is not None:
+            _check_int(weight, "weight", 0)
         seen = {self.monomial_weight(e) for e in self.terms}
-        if not seen:
-            return True
-        if weight is None:
-            return len(seen) == 1
-        return seen == {weight}
+        return len(seen) <= 1 if weight is None else seen <= {weight}
 
     def truncate(self, max_weight: int) -> "GradedPoly":
+        _check_int(max_weight, "max_weight", 0)
         return self._like(
             {e: c for e, c in self.terms.items() if self.monomial_weight(e) <= max_weight}
         )

@@ -12,7 +12,9 @@ J check's integer draws of a point and a tangent on S^6, the Nijenhuis
 tensor on S^6, the sampled J check with 250 samples on S^6 and on S^2,
 and the sedenion alternativity probe with 60 random samples, as the
 sphere-algebra benchmark workload runs them, and with none, which times
-its basis scans alone.  The inputs come from the sampler oracles of
+its basis scans alone; a third probe row starts cold, with the sign tables
+and compiled products emptied before each round, as a fresh process meets
+them.  The inputs come from the sampler oracles of
 `tests/oracles.py`.  The draw rows draw from one `random.Random` that
 advances between calls, as `verify_j_structure`'s loop does.  The genus rows time B_1..B_100 in
 ascending order, as `acstk bernoulli --k 100` asks for them,
@@ -35,7 +37,7 @@ from pathlib import Path
 import pytest
 
 from acstk import genera
-from acstk.cayley_dickson import associator, probe_alternative
+from acstk.cayley_dickson import _kernel, _signs, associator, probe_alternative
 from acstk.genera import bernoulli, l_polynomial, q_coefficient, s_coefficient
 from acstk.sphere_acs import _draw_point, _draw_tangent, cross, nijenhuis, verify_j_structure
 from acstk.symfun import newton_polynomial
@@ -85,6 +87,15 @@ def test_verify_j_structure_250(benchmark, sphere_dim):
 @pytest.mark.parametrize("samples", [60, 0])
 def test_probe_alternative_sedenions(benchmark, samples):
     benchmark(probe_alternative, 4, samples=samples)
+
+
+def _cold_doubling():
+    _signs.cache_clear()
+    _kernel.cache_clear()
+
+
+def test_probe_alternative_sedenions_cold(benchmark):
+    benchmark.pedantic(probe_alternative, args=(4,), kwargs={"samples": 60}, setup=_cold_doubling, rounds=20)
 
 
 def _cold_genera():

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import itertools
 import json
 import pickle
 import random
@@ -14,6 +15,7 @@ from acstk.cayley_dickson import (
     CDElement,
     _kernel,
     _random_pairs,
+    _signs,
     associator,
     basis_product,
     probe_alternative,
@@ -329,7 +331,7 @@ def test_probe_alternative_matches_per_triple_oracle(level, seed):
 
 def test_probe_random_scan_reports_its_first_witness(monkeypatch):
     # no basis scan finds a witness, so the random scan's first one is reported
-    monkeypatch.setattr(cayley_dickson, "_basis_associator", lambda *args: None)
+    monkeypatch.setattr(cayley_dickson, "_basis_associator", lambda *args: 0)
     for seed in (0, 3):
         report = probe_alternative(4, samples=4, seed=seed)
         checks, (form, u, v, val) = random_scan_oracle(4, 4, seed)
@@ -403,11 +405,23 @@ def test_top_level_product_follows_the_structure_constants():
 
 @pytest.mark.parametrize("level", [-1, LEVEL_CAP + 1, 3000])
 def test_structure_constants_refuse_levels_outside_the_cap(level):
-    cached = basis_product.cache_info().currsize
+    # the level is refused before any sign table is built
+    built = _signs.cache_info().currsize
     bound = "at least 0" if level < 0 else f"at most {LEVEL_CAP}"
     with pytest.raises(ValueError, match=f"^level must be {bound}, got {level}$"):
         basis_product(level, 0, 0)
-    assert basis_product.cache_info().currsize == cached
+    assert _signs.cache_info().currsize == built
+
+
+@pytest.mark.parametrize("level", range(5))
+def test_structure_constants_match_the_doubling_formula(level):
+    # the oracle multiplies basis vectors by the recursive doubling formula,
+    # so the sign table and its XOR index are checked against an independent route
+    dim = 1 << level
+    unit = [tuple(int(m == i) for m in range(dim)) for i in range(dim)]
+    for i, j in itertools.product(range(dim), repeat=2):
+        sign, k = basis_product(level, i, j)
+        assert tuple(sign * x for x in unit[k]) == doubling_product(unit[i], unit[j])
 
 
 def test_repr_is_pinned():

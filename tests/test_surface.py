@@ -346,7 +346,8 @@ def test_levels_weights_and_exponents_refuse_non_ints(build, bad, error, message
 T = GradedPoly.generator(("t",), (1,), "t")
 
 #: The integer parameters of the public API that gained their type check in
-#: 0.13.0, as (the noun their refusal names, a call that passes the value)
+#: 0.13.0 or, the last three, 0.14.0, as (the noun their refusal names, a
+#: call that passes the value)
 INT_TAKERS = {
     "classify_sphere-samples": ("samples", lambda x: classify_sphere(6, samples=x)),
     "classify_sphere-seed": ("seed", lambda x: classify_sphere(6, seed=x)),
@@ -367,6 +368,9 @@ INT_TAKERS = {
     "basis-index": ("basis index", lambda x: CDElement.basis(2, x)),
     "basis_product-i": ("basis index", lambda x: basis_product(2, x, 1)),
     "basis_product-j": ("basis index", lambda x: basis_product(2, 1, x)),
+    "SphereCohomologyClass-sphere_dim": ("sphere dimension", lambda x: SphereCohomologyClass(x, 1, 0)),
+    "GradedPoly.truncate": ("max_weight", lambda x: (T * T + T).truncate(x)),
+    "GradedPoly.is_homogeneous": ("weight", lambda x: (T * T).is_homogeneous(x)),
 }
 
 
@@ -394,6 +398,21 @@ def test_integer_arguments_refuse_non_ints(noun, call, bad):
     message = f"{noun} must be an int, got the {type(bad).__name__} {bad!r}"
     with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
         call(bad)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: SphereCohomologyClass(0, 1, 0), "sphere dimension must be at least 1, got 0"),
+        (lambda: (T * T + T).truncate(-1), "max_weight must be at least 0, got -1"),
+        (lambda: (T * T).is_homogeneous(-1), "weight must be at least 0, got -1"),
+    ],
+    ids=["SphereCohomologyClass-sphere_dim", "GradedPoly.truncate", "GradedPoly.is_homogeneous"],
+)
+def test_class_and_polynomial_integers_refuse_values_below_their_bound(call, message):
+    # before 0.14.0 these built a class on S^0 or returned the zero polynomial and False
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_only_the_integer_rule_names_bool_in_an_isinstance_check():
