@@ -304,32 +304,35 @@ class AlternativityReport(Record):
         return out
 
 
-def _repeated_argument_witnesses(signs, e: list):
-    """Per basis triple [e_i, e_i, e_j], [e_i, e_j, e_j], [e_i, e_j, e_i]:
-    the witness (form, e_i, e_j, associator) or None.  In every level of the
-    tower these vanish, but the scan is cheap and keeps the claim honest."""
+def _basis_witness(signs, e: list) -> tuple[int, tuple | None]:
+    """(basis checks, first witness (form, u, v, associator) or None) of the
+    two basis scans: the triples [e_i, e_i, e_j], [e_i, e_j, e_j],
+    [e_i, e_j, e_i], which vanish in every level of the tower (the scan is
+    cheap and keeps the claim honest), then the triples (i < j, k) with
+    [e_i, e_j, e_k] != -[e_j, e_i, e_k], whose witness is [u, u, v] of
+    u = e_i + e_j, v = e_k (none should that associator vanish)."""
+    checks = 0
     for i, j in itertools.product(range(len(e)), repeat=2):
         for (a, b, c), form in (((i, i, j), "[u,u,v]"), ((i, j, j), "[u,v,v]"), ((i, j, i), "[u,v,u]")):
+            checks += 1
             val = _basis_associator(signs, a, b, c) and associator(e[a], e[b], e[c])
-            yield (form, e[i], e[j], val) if val else None
-
-
-def _antisymmetry_witnesses(signs, e: list):
-    """Per basis triple (i < j, k): None when [e_i, e_j, e_k] = -[e_j, e_i, e_k],
-    else the repeated-argument witness ("[u,u,v]", u, v, [u, u, v]) of
-    u = e_i + e_j, v = e_k (None should that associator vanish)."""
+            if val:
+                return checks, (form, e[i], e[j], val)
     for (i, j), k in itertools.product(itertools.combinations(range(len(e)), 2), range(len(e))):
+        checks += 1
         lhs, rhs = _basis_associator(signs, i, j, k), _basis_associator(signs, j, i, k)
         val = rhs != -lhs and associator(e[i] + e[j], e[i] + e[j], e[k])
-        yield ("[u,u,v]", e[i] + e[j], e[k], val) if val else None
+        if val:
+            return checks, ("[u,u,v]", e[i] + e[j], e[k], val)
+    return checks, None
 
 
-def _random_witnesses(level: int, samples: int, seed: int):
-    """Per repeated-argument triple of `samples` random pairs u, v: None,
-    except at the first nonzero associator, which yields the witness (form,
-    u, v, associator); later ones are never reported, so never built.  The
-    three associators share the products uu, uv, vv, vu: 10 per sample."""
-    rng, mult, found = random.Random(seed), _kernel(level), False
+def _random_witness(level: int, samples: int, seed: int) -> tuple | None:
+    """The first nonzero repeated-argument associator of `samples` random
+    pairs u, v, as the witness (form, u, v, associator), or None.  The three
+    associators of a pair share the products uu, uv, vv, vu: 10 per pair,
+    and none after the pair that holds the witness."""
+    rng, mult = random.Random(seed), _kernel(level)
     for _ in range(samples):
         (a, da), (b, db) = (_over_common_denominator(_random_pairs(rng, 1 << level, 6, 4)) for _ in range(2))
         uv = mult(a, b)
@@ -339,12 +342,10 @@ def _random_witnesses(level: int, samples: int, seed: int):
             ("[u,v,u]", mult(uv, a), mult(a, mult(b, a)), da * da * db),
         ):
             val = [x - y for x, y in zip(left, right)]
-            if found or not any(val):
-                yield None
-                continue
-            found = True
-            u, v = CDElement._reduced(level, a, da), CDElement._reduced(level, b, db)
-            yield form, u, v, CDElement._reduced(level, val, den)
+            if any(val):
+                u, v = CDElement._reduced(level, a, da), CDElement._reduced(level, b, db)
+                return form, u, v, CDElement._reduced(level, val, den)
+    return None
 
 
 def probe_alternative(level: int, samples: int = 200, seed: int = 0) -> AlternativityReport:
@@ -353,25 +354,19 @@ def probe_alternative(level: int, samples: int = 200, seed: int = 0) -> Alternat
     Scans, in turn, the repeated-argument basis triples, the basis triples
     for antisymmetry failures [e_i, e_j, e_k] != -[e_j, e_i, e_k] (each
     gives the repeated-argument witness u = e_i + e_j), and random
-    repeated-argument triples.  The basis scans stop at the first witness;
-    the random scan runs to the end, and its first witness is reported only
-    when they found none.  A witness's associator is computed from its own
-    u and v with the exact product, not read off the sign table.  A
-    level, sample count or seed that is not an int raises `TypeError`, a
-    level outside 0..PROBE_LEVEL_CAP or a negative count `ValueError`.
+    repeated-argument triples.  Each scan stops at its first witness; the
+    random scan runs even after a basis witness, which is reported in
+    preference to its own.  `random_checks` reads 3 * samples, though no
+    random triple past the first witness is examined.  A witness's
+    associator is computed from its own u and v with the exact product, not
+    read off the sign table.  A level, sample count or seed that is not an
+    int raises `TypeError`, a level outside 0..PROBE_LEVEL_CAP or a negative
+    count `ValueError`.
     """
     _check_int(level, "probe level", 0, PROBE_LEVEL_CAP)
     _check_int(samples, "probe samples", 0)
     _check_int(seed, "seed", None)
-    e, signs = [CDElement.basis(level, i) for i in range(1 << level)], _signs(level)
-    checks, witness = [0, 0], None  # basis checks, random checks
-    for slot, scan in (
-        (0, itertools.chain(_repeated_argument_witnesses(signs, e), _antisymmetry_witnesses(signs, e))),
-        (1, _random_witnesses(level, samples, seed)),
-    ):
-        for found in scan:
-            checks[slot] += 1
-            witness = witness or found
-            if witness and slot == 0:
-                break
-    return AlternativityReport(level, not witness, *checks, *(witness or ()))
+    basis_checks, witness = _basis_witness(_signs(level), [CDElement.basis(level, i) for i in range(1 << level)])
+    random_witness = _random_witness(level, samples, seed)
+    witness = witness or random_witness
+    return AlternativityReport(level, not witness, basis_checks, 3 * samples, *(witness or ()))

@@ -10,11 +10,14 @@ Each benchmark times one call on fixed seeded inputs: the product at
 levels 2 to 4, the cross product on Im O, the sedenion associator, the
 J check's integer draws of a point and a tangent on S^6, the Nijenhuis
 tensor on S^6, the sampled J check with 250 samples on S^6 and on S^2,
-and the sedenion alternativity probe with 60 random samples, as the
+the sedenion alternativity probe with 60 random samples, as the
 sphere-algebra benchmark workload runs them, and with none, which times
-its basis scans alone; a third probe row starts cold, with the sign tables
-and compiled products emptied before each round, as a fresh process meets
-them.  The inputs come from the sampler oracles of
+its basis scans alone (the two rows time nearly the same work, because the
+random scan stops at its first nonzero associator and the first sedenion
+pair holds one), and the octonion probe with 60 samples, where every
+random triple is computed, the octonions being alternative; a fourth probe
+row starts cold, with the sign tables and compiled products emptied before
+each round, as a fresh process meets them.  The inputs come from the sampler oracles of
 `tests/oracles.py`.  The draw rows draw from one `random.Random` that
 advances between calls, as `verify_j_structure`'s loop does.  The genus rows time B_1..B_100 in
 ascending order, as `acstk bernoulli --k 100` asks for them,
@@ -87,6 +90,10 @@ def test_verify_j_structure_250(benchmark, sphere_dim):
 @pytest.mark.parametrize("samples", [60, 0])
 def test_probe_alternative_sedenions(benchmark, samples):
     benchmark(probe_alternative, 4, samples=samples)
+
+
+def test_probe_alternative_octonions(benchmark):
+    benchmark(probe_alternative, 3, samples=60)
 
 
 def _cold_doubling():

@@ -5,6 +5,7 @@ import json
 import pickle
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -338,6 +339,36 @@ def test_probe_random_scan_reports_its_first_witness(monkeypatch):
         assert report.random_checks == checks
         assert report.witness_form == form and report.witness_associator == val
         assert (report.witness_u, report.witness_v) == (u, v)
+
+
+@pytest.mark.parametrize(
+    "level, samples, products",
+    [
+        (3, 7, 70),  # alternative: every random triple is computed and examined, 10 products a pair
+        (2, 5, 50),
+        (4, 0, 4),  # the basis witness's associator
+        (4, 60, 14),  # that associator, then the first pair, which holds the first nonzero associator
+    ],
+)
+def test_probe_computes_only_the_products_it_reads(monkeypatch, level, samples, products):
+    calls = []
+
+    def counting(level):
+        product = _kernel(level)
+        return lambda a, b: calls.append(1) or product(a, b)
+
+    monkeypatch.setattr(cayley_dickson, "_kernel", counting)
+    probe_alternative(level, samples=samples)
+    assert len(calls) == products
+
+
+@pytest.mark.parametrize("samples, size", [(60, "full"), (5, "tiny")])
+def test_probe_line_matches_the_benchmark_golden_digest(samples, size):
+    # the sphere-algebra workload digests only its probe line, as bench/sphere_driver.py prints it
+    golden = json.loads((Path(__file__).resolve().parent.parent / "bench" / "golden.json").read_text())
+    report = probe_alternative(4, samples=samples).as_dict()
+    line = "probe " + json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+    assert hashlib.sha256(line.encode()).hexdigest() == golden["sha256"]["sphere-algebra"][size]
 
 
 def test_probe_cost_guard():
