@@ -16,14 +16,14 @@ for k in range(1, 6):
 print()
 print("== Chern character of a line bundle is the exponential series ==")
 t = GradedPoly.generator(("t",), (1,), "t")
-print("  ch =", chern_character(1, [t], max_weight=5))
+print("  ch =", chern_character([t], max_weight=5))
 
 print()
 print("== a rank-m bundle on S^{2m} has only its top class ==")
 for m in (2, 3, 5, 7):
     x = GradedPoly.generator(("x",), (m,), "x")
     zero = GradedPoly.zero(("x",), (m,))
-    ch = chern_character(m, [zero] * (m - 1) + [x], max_weight=m)
+    ch = chern_character([zero] * (m - 1) + [x], max_weight=m)
     coeff = ch.coefficient_of_generator("x")
     print(f"  m = {m}:  ch = {m} + ({coeff}) * c_{m}")
 

@@ -146,15 +146,15 @@ def check_chern_divisibility(n: int) -> dict | None:
     top = GradedPoly.generator(("x",), (m,), "x")
     zero = GradedPoly.zero(("x",), (m,))
     classes = [zero] * (m - 1) + [top]
-    ch = chern_character(m, classes, max_weight=m)
+    ch = chern_character(classes, max_weight=m)
     top_coeff = ch.coefficient_of_generator("x")
-    expected = Fraction((-1) ** (m - 1), math.factorial(m - 1))
+    factorial = math.factorial(m - 1)
+    expected = Fraction((-1) ** (m - 1), factorial)
     if top_coeff != expected:
         raise InternalInvariantError(
             f"chern character top coefficient {top_coeff} != {expected} for m = {m}"
         )
     euler_pairing = Fraction(2)
-    factorial = math.factorial(m - 1)
     remainder = 2 % factorial
     cert = {
         "reason": REASON_CHERN_DIVISIBILITY,

@@ -176,10 +176,7 @@ def _cmd_classify(args) -> int:
     a, b = (args.n, args.n) if args.range_ is None else _parse_range(args.range_)
     _check_int(b, "classify dimensions", None, CLASSIFY_MAX_N)
     _check_int(args.samples, "--samples", 1, SAMPLES_MAX)
-    if args.range_ is not None:
-        verdicts = classify_mod.classify_range(a, b, samples=args.samples, seed=args.seed)
-    else:
-        verdicts = [classify_mod.classify_sphere(args.n, samples=args.samples, seed=args.seed)]
+    verdicts = classify_mod.classify_range(a, b, samples=args.samples, seed=args.seed)
     if args.json:
         payload = [v.as_dict() for v in verdicts]
         _print_json(payload[0] if args.range_ is None else payload)

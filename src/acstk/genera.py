@@ -49,7 +49,6 @@ def _tangent_number(k: int) -> int:
     return _TANGENT[k - 1]
 
 
-@lru_cache(maxsize=None, typed=True)
 def bernoulli(k: int) -> Fraction:
     """The k-th positive Bernoulli number (1/6, 1/30, 1/42, ...), from the
     k-th tangent number: B_k = 2k T_k / (4^k (4^k - 1))."""
@@ -154,39 +153,29 @@ def l_polynomial(k: int) -> GradedPoly:
 # Chern character
 
 
-def chern_character(rank: int, chern: Sequence[GradedPoly], max_weight: int) -> GradedPoly:
-    """rank + sum_k nu_k(c_1, ..., c_k)/k! truncated at max_weight.
+def chern_character(chern: Sequence[GradedPoly], max_weight: int) -> GradedPoly:
+    """len(chern) + sum_{k <= max_weight} nu_k(c_1, ..., c_k)/k!.
 
-    `chern` lists the classes c_1..c_rank as graded polynomials over a
-    common generator set; classes above the rank are zero.  For a line
-    bundle (rank 1, classes [t]) this reproduces the exponential series
-    1 + t + t^2/2! + ...; it is additive under direct sums and
-    multiplicative under tensor products of formal root models.
+    `chern` lists the classes c_1..c_r of a rank-r bundle, r = len(chern),
+    as graded polynomials over a common generator set, c_i homogeneous of
+    weight i; classes above the rank are zero.  So nu_k has weight k and
+    no term needs truncating.  For a line bundle (classes [t]) this
+    reproduces the exponential series 1 + t + t^2/2! + ...; it is additive
+    under direct sums and multiplicative under tensor products of formal
+    root models.
     """
-    _check_int(rank, "rank", 1)
     _check_int(max_weight, "max_weight", 0)
     chern = list(chern)
-    if len(chern) < rank:
-        raise ValueError(
-            f"missing class index {len(chern) + 1}: a rank-{rank} bundle "
-            f"carries classes c_1..c_{rank}"
-        )
-    if len(chern) > rank:
-        raise ValueError(
-            f"got {len(chern)} classes for a rank-{rank} bundle; classes "
-            f"above the rank vanish and must not be supplied"
-        )
-    first = chern[0]
-    if not isinstance(first, GradedPoly):
+    if not chern:
+        raise ValueError("a bundle of rank r >= 1 carries the classes c_1..c_r, got none")
+    if not all(isinstance(c, GradedPoly) for c in chern):
         raise TypeError("chern classes must be GradedPoly values")
     for i, c in enumerate(chern, start=1):
         if not c.is_homogeneous(i):
             raise ValueError(f"class c_{i} must be homogeneous of weight {i}")
-    zero = GradedPoly.zero(first.generators, first.weights)
-    values = [c.truncate(max_weight) for c in chern]
-    nus = power_sums_from_values(values, max_weight, zero)
-    result = GradedPoly.constant(first.generators, first.weights, rank)
-    for k in range(1, max_weight + 1):
-        term = nus[k - 1] * Fraction(1, math.factorial(k))
-        result = result + term.truncate(max_weight)
-    return result.truncate(max_weight)
+    gens, weights = chern[0].generators, chern[0].weights
+    nus = power_sums_from_values(chern, max_weight, GradedPoly.zero(gens, weights))
+    result = GradedPoly.constant(gens, weights, len(chern))
+    for k, nu in enumerate(nus, start=1):
+        result = result + nu * Fraction(1, math.factorial(k))
+    return result

@@ -165,17 +165,9 @@ class GradedPoly:
     def monomial_weight(self, exps: Sequence[int]) -> int:
         return sum(w * e for w, e in zip(self.weights, exps))
 
-    def is_homogeneous(self, weight: int | None = None) -> bool:
-        if weight is not None:
-            _check_int(weight, "weight", 0)
-        seen = {self.monomial_weight(e) for e in self.terms}
-        return len(seen) <= 1 if weight is None else seen <= {weight}
-
-    def truncate(self, max_weight: int) -> "GradedPoly":
-        _check_int(max_weight, "max_weight", 0)
-        return self._like(
-            {e: c for e, c in self.terms.items() if self.monomial_weight(e) <= max_weight}
-        )
+    def is_homogeneous(self, weight: int) -> bool:
+        _check_int(weight, "weight", 0)
+        return all(self.monomial_weight(e) == weight for e in self.terms)
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))

@@ -272,6 +272,14 @@ def reciprocal_bernoulli_oracle(k: int) -> Fraction:
     return qk * (-1) ** (k - 1) * Fraction(factorial(2 * k), 2 ** (2 * k))
 
 
+def truncate(p: GradedPoly, max_weight: int) -> GradedPoly:
+    """The terms of `p` of weight at most `max_weight`: a product of two
+    Chern characters has terms above the weight the factors stop at."""
+    return GradedPoly(
+        p.generators, p.weights, {e: c for e, c in p.terms.items() if p.monomial_weight(e) <= max_weight}
+    )
+
+
 # ----------------------------------------------------------------------
 # Root variables and symmetric functions.  A polynomial in root variables
 # is a GradedPoly whose weights are all 1.

@@ -106,7 +106,7 @@ def test_probe_alternative_sedenions_cold(benchmark):
 
 
 def _cold_genera():
-    for cached in (bernoulli, s_coefficient, l_polynomial, newton_polynomial):
+    for cached in (s_coefficient, l_polynomial, newton_polynomial):
         cached.cache_clear()
     genera._TANGENT.clear()
     genera._TANGENT_COLUMN.clear()

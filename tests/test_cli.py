@@ -35,6 +35,17 @@ def test_classify_range_text(capsys):
     assert "pairing -4" in lines[3]
 
 
+@pytest.mark.parametrize("n", ["1", "4", "6", "12"])
+def test_classify_dimension_is_the_one_dimension_range(capsys, n):
+    # one code path classifies both: a dimension prints the range n..n,
+    # as one line of text or as the single object of the JSON list
+    single = run(capsys, "classify", n, "--samples", "5")
+    assert single == run(capsys, "classify", "--range", f"{n}..{n}", "--samples", "5")
+    code, out, _ = run(capsys, "classify", n, "--samples", "5", "--json")
+    assert code == 0
+    assert [json.loads(out)] == json.loads(run(capsys, "classify", "--range", f"{n}..{n}", "--samples", "5", "--json")[1])
+
+
 def test_classify_range_json_is_list(capsys):
     code, out, _ = run(capsys, "classify", "--range", "3..5", "--json")
     assert code == 0

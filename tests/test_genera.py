@@ -20,6 +20,7 @@ from oracles import (
     reciprocal_q_series,
     s_series,
     substitute,
+    truncate,
 )
 
 
@@ -56,7 +57,7 @@ def test_bernoulli_von_staudt_clausen():
 
 
 def _clear_genera_caches():
-    for cached in (bernoulli, s_coefficient, l_polynomial):
+    for cached in (s_coefficient, l_polynomial):
         cached.cache_clear()
     genera._TANGENT.clear()
     genera._TANGENT_COLUMN.clear()
@@ -181,7 +182,7 @@ def test_l_polynomial_reads_no_q_series(monkeypatch):
         raise AssertionError(f"q_coefficient({k}) called")
 
     monkeypatch.setattr(genera, "q_coefficient", refuse)
-    for cached in (l_polynomial, s_coefficient, bernoulli, newton_polynomial):
+    for cached in (l_polynomial, s_coefficient, newton_polynomial):
         cached.cache_clear()
     try:
         assert [l_polynomial(k) for k in range(1, 8)] == [l_polynomial_graded_oracle(k) for k in range(1, 8)]
@@ -231,7 +232,7 @@ def test_s_series_needs_no_bernoulli_numbers(cold_bernoulli, monkeypatch):
 
 def test_chern_character_line_bundle():
     t = GradedPoly.generator(("t",), (1,), "t")
-    ch = chern_character(1, [t], max_weight=4)
+    ch = chern_character([t], max_weight=4)
     expected = (
         GradedPoly.constant(("t",), (1,), 1)
         + t
@@ -244,7 +245,7 @@ def test_chern_character_line_bundle():
 
 def test_chern_character_trivial_bundle():
     zero = GradedPoly.zero(("t",), (1,))
-    assert chern_character(5, [zero] * 5, max_weight=3) == GradedPoly.constant(("t",), (1,), 5)
+    assert chern_character([zero] * 5, max_weight=3) == GradedPoly.constant(("t",), (1,), 5)
 
 
 def test_chern_character_single_top_class():
@@ -252,7 +253,7 @@ def test_chern_character_single_top_class():
     for n in (2, 3, 5, 8):
         x = GradedPoly.generator(("x",), (n,), "x")
         zero = GradedPoly.zero(("x",), (n,))
-        ch = chern_character(n, [zero] * (n - 1) + [x], max_weight=n)
+        ch = chern_character([zero] * (n - 1) + [x], max_weight=n)
         assert ch.coefficient_of_generator("x") == Fraction(
             (-1) ** (n - 1), math.factorial(n - 1)
         )
@@ -261,12 +262,23 @@ def test_chern_character_single_top_class():
 
 def test_chern_character_errors():
     t = GradedPoly.generator(("t",), (1,), "t")
-    with pytest.raises(ValueError, match="missing class index 2"):
-        chern_character(2, [t], max_weight=2)
-    with pytest.raises(ValueError, match="above the rank"):
-        chern_character(1, [t, t], max_weight=2)
     with pytest.raises(ValueError, match="homogeneous of weight 2"):
-        chern_character(2, [t, t], max_weight=2)
+        chern_character([t, t], max_weight=2)
+
+
+def test_chern_character_refuses_an_empty_list():
+    # the rank is the number of classes, and a bundle has rank at least 1
+    with pytest.raises(ValueError, match=r"^a bundle of rank r >= 1 carries the classes c_1\.\.c_r, got none$"):
+        chern_character([], max_weight=2)
+
+
+def test_chern_character_type_checks_every_class():
+    # a class after the first that is not a GradedPoly used to fail with
+    # AttributeError inside the homogeneity check
+    t = GradedPoly.generator(("t",), (1,), "t")
+    for chern in ([t, 5], [t, t * t, Fraction(1)], [5]):
+        with pytest.raises(TypeError, match="^chern classes must be GradedPoly values$"):
+            chern_character(chern, max_weight=2)
 
 
 @pytest.mark.parametrize(
@@ -274,7 +286,7 @@ def test_chern_character_errors():
     [
         (lambda: q_coefficient(-1), "^k must be at least 0, got -1$"),
         (
-            lambda: chern_character(1, [GradedPoly.generator(("t",), (1,), "t")], max_weight=-1),
+            lambda: chern_character([GradedPoly.generator(("t",), (1,), "t")], max_weight=-1),
             "^max_weight must be at least 0, got -1$",
         ),
     ],
@@ -301,15 +313,15 @@ def test_chern_character_additive_and_multiplicative_on_root_models():
                 coeffs[i] = coeffs[i] + coeffs[i - 1] * r
         return coeffs[1:]
 
-    ch_e = chern_character(2, chern_classes_of([t1, t2]), max_weight)
-    ch_f = chern_character(2, chern_classes_of([u1, u2]), max_weight)
-    ch_sum = chern_character(4, chern_classes_of([t1, t2, u1, u2]), max_weight)
+    ch_e = chern_character(chern_classes_of([t1, t2]), max_weight)
+    ch_f = chern_character(chern_classes_of([u1, u2]), max_weight)
+    ch_sum = chern_character(chern_classes_of([t1, t2, u1, u2]), max_weight)
     assert ch_sum == ch_e + ch_f
 
     # tensor product: roots t_i + u_j, multiplicativity of the character
     tensor_roots = [t1 + u1, t1 + u2, t2 + u1, t2 + u2]
-    ch_tensor = chern_character(4, chern_classes_of(tensor_roots), max_weight)
-    assert ch_tensor == (ch_e * ch_f).truncate(max_weight)
+    ch_tensor = chern_character(chern_classes_of(tensor_roots), max_weight)
+    assert ch_tensor == truncate(ch_e * ch_f, max_weight)
 
 
 def test_chern_character_matches_symbolic_newton():
@@ -317,14 +329,15 @@ def test_chern_character_matches_symbolic_newton():
     weights = (1, 2, 3, 4)
     cs = [GradedPoly.generator(gens, weights, g) for g in gens]
     max_weight = 6
-    ch = chern_character(4, cs, max_weight)
+    ch = chern_character(cs, max_weight)
     expected = GradedPoly.constant(gens, weights, 4)
     for k in range(1, max_weight + 1):
         assignments = {f"s{i}": cs[i - 1] if i <= 4 else GradedPoly.zero(gens, weights)
                        for i in range(1, k + 1)}
         nu_k = substitute(newton_polynomial(k), assignments)
         expected = expected + nu_k * Fraction(1, math.factorial(k))
-    assert ch == expected.truncate(max_weight)
+    # every nu_k has weight k <= max_weight, so nothing is cut off
+    assert ch == expected
 
 
 def test_internal_positivity_guard_not_triggered():

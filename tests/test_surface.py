@@ -94,6 +94,7 @@ REMOVED = [
     "GradedPoly.__pow__",
     "GradedPoly.evaluate",
     "SphereCohomologyClass.__sub__",
+    "GradedPoly.truncate",
 ]
 
 
@@ -346,7 +347,7 @@ def test_levels_weights_and_exponents_refuse_non_ints(build, bad, error, message
 T = GradedPoly.generator(("t",), (1,), "t")
 
 #: The integer parameters of the public API that gained their type check in
-#: 0.13.0 or, the last three, 0.14.0, as (the noun their refusal names, a
+#: 0.13.0 or, the last two, 0.14.0, as (the noun their refusal names, a
 #: call that passes the value)
 INT_TAKERS = {
     "classify_sphere-samples": ("samples", lambda x: classify_sphere(6, samples=x)),
@@ -363,13 +364,11 @@ INT_TAKERS = {
     "l_polynomial": ("k", l_polynomial),
     "newton_polynomial": ("k", newton_polynomial),
     "replay_lemma_pontryagin_euler": ("k", replay_lemma_pontryagin_euler),
-    "chern_character-rank": ("rank", lambda x: chern_character(x, [T], max_weight=1)),
-    "chern_character-max_weight": ("max_weight", lambda x: chern_character(1, [T], max_weight=x)),
+    "chern_character-max_weight": ("max_weight", lambda x: chern_character([T], max_weight=x)),
     "basis-index": ("basis index", lambda x: CDElement.basis(2, x)),
     "basis_product-i": ("basis index", lambda x: basis_product(2, x, 1)),
     "basis_product-j": ("basis index", lambda x: basis_product(2, 1, x)),
     "SphereCohomologyClass-sphere_dim": ("sphere dimension", lambda x: SphereCohomologyClass(x, 1, 0)),
-    "GradedPoly.truncate": ("max_weight", lambda x: (T * T + T).truncate(x)),
     "GradedPoly.is_homogeneous": ("weight", lambda x: (T * T).is_homogeneous(x)),
 }
 
@@ -391,7 +390,7 @@ INT_TAKERS = {
 )
 def test_integer_arguments_refuse_non_ints(noun, call, bad):
     # the caches are typed: an entry for 1 or 2 must not answer True or 2.0
-    for cached in (bernoulli, s_coefficient, l_polynomial, newton_polynomial):
+    for cached in (s_coefficient, l_polynomial, newton_polynomial):
         cached(1), cached(2)
     for i, j in itertools.product(range(4), repeat=2):
         basis_product(2, i, j)
@@ -404,14 +403,30 @@ def test_integer_arguments_refuse_non_ints(noun, call, bad):
     "call, message",
     [
         (lambda: SphereCohomologyClass(0, 1, 0), "sphere dimension must be at least 1, got 0"),
-        (lambda: (T * T + T).truncate(-1), "max_weight must be at least 0, got -1"),
         (lambda: (T * T).is_homogeneous(-1), "weight must be at least 0, got -1"),
     ],
-    ids=["SphereCohomologyClass-sphere_dim", "GradedPoly.truncate", "GradedPoly.is_homogeneous"],
+    ids=["SphereCohomologyClass-sphere_dim", "GradedPoly.is_homogeneous"],
 )
 def test_class_and_polynomial_integers_refuse_values_below_their_bound(call, message):
-    # before 0.14.0 these built a class on S^0 or returned the zero polynomial and False
+    # before 0.14.0 these built a class on S^0 or returned False
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: chern_character(1, [T], max_weight=1),
+        lambda: chern_character(1, [T], 1),
+        lambda: (T * T).is_homogeneous(),
+    ],
+    ids=["chern_character-rank-keyword", "chern_character-rank-positional", "GradedPoly.is_homogeneous-no-weight"],
+)
+def test_removed_arguments_are_refused(call):
+    # since 0.15.0 the rank of `chern_character` is the number of classes,
+    # and `is_homogeneous` checks one given weight; a call in the old form
+    # raises rather than reading its arguments another way
+    with pytest.raises(TypeError):
         call()
 
 

@@ -19,6 +19,7 @@ from oracles import (
     reduce_to_elementary,
     sigma_generators,
     substitute,
+    truncate,
     unit_constant,
     unit_poly,
     unit_variable,
@@ -269,13 +270,11 @@ def test_graded_poly_weights_and_truncation():
     p1 = GradedPoly.generator(gens, weights, "p1")
     p2 = GradedPoly.generator(gens, weights, "p2")
     mix = p1 * p1 + p2 + p1 * p1 * p1 * p1
-    assert mix.truncate(2) == p1 * p1 + p2
-    assert mix.truncate(3) == p1 * p1 + p2
-    assert mix.truncate(1) == GradedPoly.zero(gens, weights)
-    assert not mix.is_homogeneous()
+    assert truncate(mix, 2) == p1 * p1 + p2
+    assert truncate(mix, 3) == p1 * p1 + p2
+    assert truncate(mix, 1) == GradedPoly.zero(gens, weights)
     assert not mix.is_homogeneous(2)
     assert (p1 * p1 + p2).is_homogeneous(2)
-    assert (p1 * p1 + p2).is_homogeneous()
     assert GradedPoly.zero(gens, weights).is_homogeneous(5)
 
 
