@@ -16,7 +16,7 @@ module that defines it on first use (PEP 562), so a program that needs
 one layer pays only for that layer.
 """
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"
 
 #: The exported names, by the layer module that defines them.
 _EXPORTS = {

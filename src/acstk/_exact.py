@@ -78,12 +78,14 @@ def _over_common_denominator(pairs) -> tuple[list[int], int]:
     return [n * (den // d) for n, d in pairs], den
 
 
-def _term(c: Fraction, name: str) -> str:
+def _term(c: Fraction, name: str, number=str, times: str = "*") -> str:
     """The term c times `name`, where the name "" stands for 1: "c",
-    "name", "-name" or "c*name"."""
+    "name", "-name" or "c*name".  The sign comes first, `number` prints |c|
+    and `times` joins it to the name."""
+    sign = "-" if c < 0 else ""
     if not name:
-        return str(c)
-    return name if c == 1 else f"-{name}" if c == -1 else f"{c}*{name}"
+        return sign + number(abs(c))
+    return sign + (name if abs(c) == 1 else f"{number(abs(c))}{times}{name}")
 
 
 def _join_signed(parts: list[str]) -> str:

@@ -64,33 +64,6 @@ class SphereCohomologyClass(Record):
         return self.scalar_top
 
 
-class LemmaReplay(Record):
-    """Step-by-step record of the top-Pontryagin / Euler-class identity
-    forced on S^{4k} by an almost complex structure, ending in the
-    nonzero pairing (-1)^k * 4 that contradicts the vanishing of
-    Pontryagin classes on spheres."""
-
-    k: int
-    sphere_dim: int
-    steps: tuple
-    euler_pairing: Fraction
-    pairing: Fraction
-    contradiction: bool
-    assumed_axioms: tuple
-
-    def as_dict(self) -> dict:
-        return {
-            "lemma": "pontryagin_euler",
-            "k": self.k,
-            "sphere_dim": self.sphere_dim,
-            "steps": [dict(s) for s in self.steps],
-            "euler_pairing": str(self.euler_pairing),
-            "pairing": str(self.pairing),
-            "contradiction": self.contradiction,
-            "assumed_axioms": list(self.assumed_axioms),
-        }
-
-
 AX_COMPLEX_TANGENT_SPLITS = (
     "an almost complex structure splits the complexified tangent bundle "
     "into the bundle and its conjugate"
@@ -114,7 +87,7 @@ def _class_step(kind: str, index: int, total: SphereCohomologyClass) -> dict:
     }
 
 
-def replay_lemma_pontryagin_euler(k: int) -> LemmaReplay:
+def replay_lemma_pontryagin_euler(k: int) -> dict:
     """Replay, with exact class arithmetic in Q[x]/(x^2) on S^{4k}, the chain
 
         c(T tensor C) = c(T) c(conj T) = (1 + c_{2k})^2 = 1 + 2 c_{2k}
@@ -123,7 +96,8 @@ def replay_lemma_pontryagin_euler(k: int) -> LemmaReplay:
     which contradicts the vanishing of sphere Pontryagin classes.  The
     hypothetical tangent class is carried with unit coefficient (the
     symbol c_{2k}(T) itself, as x); the Euler pairing <c_{2k}(T)> = 2
-    enters at the end.
+    enters at the end.  Returns the certificate as a JSON-ready dict: the
+    pairings are strings, and `contradiction` says the pairing is nonzero.
     """
     _check_int(k, "k", 1)
     m = 4 * k
@@ -136,39 +110,39 @@ def replay_lemma_pontryagin_euler(k: int) -> LemmaReplay:
     p = one + (-1) ** k * c_complexified.pairing() * x
     euler_pairing = Fraction(2)  # <c_{2k}(T)> = e(T(S^m)) pairing = chi = 2
     pairing = p.pairing() * euler_pairing
-    steps = (
-        {
-            "label": "c(T) for a hypothetical complex tangent bundle T",
-            "class": _class_step("chern", 2 * k, c_t),
-            "note": "only the top class can be nonzero on a sphere",
-        },
-        {"label": "c(conj T)", "class": _class_step("chern", 2 * k, c_tbar)},
-        {
-            "label": "c(T tensor C) = c(T) * c(conj T)",
-            "class": _class_step("chern", 2 * k, c_complexified),
-        },
-        {
-            "label": "pontryagin classes of the complexification",
-            "class": _class_step("pontryagin", k, p),
-        },
-        {
-            "label": "pair against the fundamental class",
-            "euler_pairing": str(euler_pairing),
-            "pairing": str(pairing),
-        },
-    )
-    return LemmaReplay(
-        k=k,
-        sphere_dim=m,
-        steps=steps,
-        euler_pairing=euler_pairing,
-        pairing=pairing,
-        contradiction=pairing != 0,
-        assumed_axioms=(
+    return {
+        "lemma": "pontryagin_euler",
+        "k": k,
+        "sphere_dim": m,
+        "steps": [
+            {
+                "label": "c(T) for a hypothetical complex tangent bundle T",
+                "class": _class_step("chern", 2 * k, c_t),
+                "note": "only the top class can be nonzero on a sphere",
+            },
+            {"label": "c(conj T)", "class": _class_step("chern", 2 * k, c_tbar)},
+            {
+                "label": "c(T tensor C) = c(T) * c(conj T)",
+                "class": _class_step("chern", 2 * k, c_complexified),
+            },
+            {
+                "label": "pontryagin classes of the complexification",
+                "class": _class_step("pontryagin", k, p),
+            },
+            {
+                "label": "pair against the fundamental class",
+                "euler_pairing": str(euler_pairing),
+                "pairing": str(pairing),
+            },
+        ],
+        "euler_pairing": str(euler_pairing),
+        "pairing": str(pairing),
+        "contradiction": pairing != 0,
+        "assumed_axioms": [
             AX_COMPLEX_TANGENT_SPLITS,
             AX_EULER_CHAR_SPHERE,
             AX_EULER_IS_TOP_CHERN,
             AX_SPHERE_COHOMOLOGY_GAP,
             AX_STABLY_TRIVIAL,
-        ),
-    )
+        ],
+    }

@@ -98,15 +98,11 @@ def check_pontryagin_euler(n: int) -> dict | None:
     _check_int(n, "sphere dimension", 1)
     if n % 4 != 0:
         return None
-    k = n // 4
-    replay = replay_lemma_pontryagin_euler(k)
-    if replay.pairing == 0:
-        raise InternalInvariantError(
-            f"pontryagin/euler pairing vanished for n = {n}"
-        )
-    cert = replay.as_dict()
+    cert = replay_lemma_pontryagin_euler(n // 4)
+    if cert["pairing"] == "0":
+        raise InternalInvariantError(f"pontryagin/euler pairing vanished for n = {n}")
     cert["reason"] = REASON_PONTRYAGIN_EULER
-    cert["witness"] = str(replay.pairing)
+    cert["witness"] = cert["pairing"]
     return cert
 
 

@@ -58,7 +58,9 @@ RATIONAL_MAX_DIGITS = 100
 
 
 def _parse_rationals(text: str, what: str) -> list[Fraction]:
-    parts = [part.strip() for part in text.split(",") if part.strip() != ""]
+    parts = [part.strip() for part in text.split(",")]
+    if "" in parts:
+        raise ValueError(f"{what} has an empty entry: {text!r}")
     for part in parts:
         if sum(map(str.isdigit, part)) > RATIONAL_MAX_DIGITS or _exponent_exceeds(part, RATIONAL_MAX_DIGITS):
             raise ValueError(

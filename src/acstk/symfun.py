@@ -187,37 +187,30 @@ class GradedPoly:
             key=lambda t: (self.monomial_weight(t[0]), tuple(-e for e in t[0])),
         )
 
+    def _render(self, factor, number, times: str) -> str:
+        """The signed sum of the terms: `factor(g, e)` prints g^e (e > 0),
+        `number` prints |c| and `times` joins the factors and c."""
+        return _join_signed([
+            _term(c, times.join(factor(g, e) for g, e in zip(self.generators, exps) if e), number, times)
+            for exps, c in self.sorted_terms()
+        ])
+
     def __str__(self):
-        parts = []
-        for exps, coeff in self.sorted_terms():
-            factors = (g if e == 1 else f"{g}^{e}" for g, e in zip(self.generators, exps) if e)
-            parts.append(_term(coeff, "*".join(factors)))
-        return _join_signed(parts)
+        return self._render(lambda g, e: g if e == 1 else f"{g}^{e}", str, "*")
 
     def __repr__(self):
         return f"GradedPoly({self.generators!r}, weights={self.weights!r}, {self!s})"
 
     def latex(self) -> str:
         """Render with subscripted generators and \\frac coefficients."""
-        parts = []
-        for exps, coeff in self.sorted_terms():
-            factors = []
-            for name, e in zip(self.generators, exps):
-                head = name[0]
-                sub = name[1:]
-                sym = f"{head}_{{{sub}}}" if sub else head
-                if e == 1:
-                    factors.append(sym)
-                elif e > 1:
-                    factors.append(f"{sym}^{{{e}}}")
-            mag = abs(coeff)
-            if mag.denominator == 1:
-                num = "" if (mag == 1 and factors) else str(mag)
-            else:
-                num = f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
-            body = (num + (" " if num and factors else "") + " ".join(factors)).strip()
-            parts.append(("-" if coeff < 0 else "") + body)
-        return _join_signed(parts)
+        def factor(g, e):
+            sym = f"{g[0]}_{{{g[1:]}}}" if g[1:] else g[0]
+            return sym if e == 1 else f"{sym}^{{{e}}}"
+
+        def number(m):
+            return str(m) if m.denominator == 1 else f"\\frac{{{m.numerator}}}{{{m.denominator}}}"
+
+        return self._render(factor, number, " ")
 
 
 # ----------------------------------------------------------------------
@@ -234,16 +227,14 @@ def power_sums_from_values(values: Sequence, k_max: int, zero):
     need +, -, * and multiplication by int, so rationals and polynomials
     both work; `zero` is the additive unit of the value ring.
     """
-    def sig(i):
-        return values[i - 1] if i - 1 < len(values) else zero
-
+    sig = [zero, *values, *[zero] * (k_max - len(values))]  # sig[i] = s_i
     nus = []
     for j in range(1, k_max + 1):
         acc = zero
         for i in range(1, j):
-            term = sig(i) * nus[j - i - 1]
+            term = sig[i] * nus[j - i - 1]
             acc = acc + term if i % 2 == 1 else acc - term
-        tail = sig(j) * j
+        tail = sig[j] * j
         acc = acc + tail if j % 2 == 1 else acc - tail
         nus.append(acc)
     return nus

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from acstk.char_class import LemmaReplay, SphereCohomologyClass, replay_lemma_pontryagin_euler
+from acstk.char_class import SphereCohomologyClass, replay_lemma_pontryagin_euler
 from record_contract import check_record
 
 
@@ -54,16 +54,15 @@ def test_non_class_operands_raise_type_error(expr):
 
 def test_lemma_replay_small_k():
     rep1 = replay_lemma_pontryagin_euler(1)
-    assert rep1.pairing == -4
-    assert rep1.contradiction
+    assert rep1["pairing"] == "-4"
+    assert rep1["contradiction"] is True
     rep2 = replay_lemma_pontryagin_euler(2)
-    assert rep2.pairing == 4
+    assert rep2["pairing"] == "4"
 
 
 def test_lemma_replay_chain_contents():
     k = 3
-    rep = replay_lemma_pontryagin_euler(k)
-    data = rep.as_dict()
+    data = replay_lemma_pontryagin_euler(k)
     assert data["lemma"] == "pontryagin_euler"
     assert data["k"] == k
     # the complexification step must show 1 + 2*c_{2k}
@@ -75,7 +74,7 @@ def test_lemma_replay_chain_contents():
 
 def test_lemma_replay_closed_form_up_to_ten():
     for k in range(1, 11):
-        assert replay_lemma_pontryagin_euler(k).pairing == (-1) ** k * 4
+        assert replay_lemma_pontryagin_euler(k)["pairing"] == str((-1) ** k * 4)
     with pytest.raises(ValueError):
         replay_lemma_pontryagin_euler(0)
 
@@ -83,7 +82,7 @@ def test_lemma_replay_closed_form_up_to_ten():
 def test_lemma_replay_bytes_are_pinned():
     # every k up to the classify cap n = 400; the certificate bytes must not move
     text = json.dumps(
-        [replay_lemma_pontryagin_euler(k).as_dict() for k in range(1, 101)], sort_keys=True
+        [replay_lemma_pontryagin_euler(k) for k in range(1, 101)], sort_keys=True
     )
     assert (
         hashlib.sha256(text.encode()).hexdigest()
@@ -101,20 +100,8 @@ def test_lemma_replay_bytes_are_pinned():
             True,
             [],
         ),
-        (
-            LemmaReplay,
-            dict(
-                k=1, sphere_dim=4, steps=({"label": "c(T)"},), euler_pairing=Fraction(2),
-                pairing=Fraction(-4), contradiction=True, assumed_axioms=("chi(S^{2n}) = 2",),
-            ),
-            "LemmaReplay(k=1, sphere_dim=4, steps=({'label': 'c(T)'},), "
-            "euler_pairing=Fraction(2, 1), pairing=Fraction(-4, 1), contradiction=True, "
-            "assumed_axioms=('chi(S^{2n}) = 2',))",
-            False,
-            [],
-        ),
     ],
-    ids=["SphereCohomologyClass", "LemmaReplay"],
+    ids=["SphereCohomologyClass"],
 )
 def test_class_records_are_immutable(cls, fields, expected_repr, hashable, errors):
     check_record(cls, fields, expected_repr, hashable=hashable, errors=errors)

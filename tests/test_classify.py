@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from acstk.char_class import replay_lemma_pontryagin_euler
 from acstk.classify import (
     REASON_CHERN_DIVISIBILITY,
     REASON_CONSTRUCTION,
@@ -87,6 +88,14 @@ def test_double_certification_on_multiples_of_four():
         k = n // 4
         assert Fraction(cert["pontryagin_euler"]["witness"]) == (-1) ** k * 4
         assert Fraction(cert["signature"]["witness"]) == (-1) ** k * 4 * s_coefficient(k)
+
+
+def test_pontryagin_euler_certificate_is_the_replay():
+    # the route files the replay's own dict, adding only its reason and witness
+    for k in range(1, 101):
+        replay = replay_lemma_pontryagin_euler(k)
+        expected = {**replay, "reason": REASON_PONTRYAGIN_EULER, "witness": replay["pairing"]}
+        assert classify_sphere(4 * k).certificate["pontryagin_euler"] == expected
 
 
 def test_classification_coverage():

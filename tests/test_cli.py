@@ -113,6 +113,14 @@ REFUSALS = [
         )
         for entry in (LONG, "1e101")
     ),
+    (
+        ("nijenhuis", "--sphere", "2", "--point", "1,,0", "--u", "1,0,0", "--v", "0,1,0"),
+        "--point has an empty entry: '1,,0'",
+    ),
+    (
+        ("nijenhuis", "--sphere", "2", "--point", "1,0", "--u", "1,0,0,", "--v", "0,1,0"),
+        "--u has an empty entry: '1,0,0,'",
+    ),
 ]
 
 

@@ -95,6 +95,7 @@ REMOVED = [
     "GradedPoly.evaluate",
     "SphereCohomologyClass.__sub__",
     "GradedPoly.truncate",
+    "LemmaReplay",
 ]
 
 
