@@ -256,11 +256,11 @@ def _basis_associator(signs, a: int, b: int, c: int) -> int:
     return signs[a][b] * signs[a ^ b][c] - signs[b][c] * signs[a][b ^ c]
 
 
-def _random_pairs(rng: random.Random, count: int, max_num: int, max_den: int) -> list[tuple[int, int]]:
-    """`count` draws of rng.randint(-max_num, max_num) over
-    rng.randint(1, max_den), the numerator first, by randint's own rule for a
-    width n (getrandbits(n.bit_length()), redrawn while >= n): same values, same state.
-    The callers pass constants, so the ranges are never empty."""
+def _random_vector(rng: random.Random, count: int, max_num: int, max_den: int) -> tuple[list[int], int]:
+    """`count` draws of rng.randint(-max_num, max_num) over rng.randint(1, max_den),
+    the numerator first, as one vector (numerators, denominator), by randint's own
+    rule for a width n (getrandbits(n.bit_length()), redrawn while >= n): same
+    values, same state.  The callers pass constants, so the ranges are never empty."""
     bits, width = rng.getrandbits, 2 * max_num + 1
     kn, kd = width.bit_length(), max_den.bit_length()
     pairs = []
@@ -272,7 +272,7 @@ def _random_pairs(rng: random.Random, count: int, max_num: int, max_den: int) ->
         while b >= max_den:
             b = bits(kd)
         pairs.append((a - max_num, b + 1))
-    return pairs
+    return _over_common_denominator(pairs)
 
 
 class AlternativityReport(Record):
@@ -334,7 +334,7 @@ def _random_witness(level: int, samples: int, seed: int) -> tuple | None:
     and none after the pair that holds the witness."""
     rng, mult = random.Random(seed), _kernel(level)
     for _ in range(samples):
-        (a, da), (b, db) = (_over_common_denominator(_random_pairs(rng, 1 << level, 6, 4)) for _ in range(2))
+        (a, da), (b, db) = (_random_vector(rng, 1 << level, 6, 4) for _ in range(2))
         uv = mult(a, b)
         for form, left, right, den in (
             ("[u,u,v]", mult(mult(a, a), b), mult(a, uv), da * da * db),
@@ -354,9 +354,9 @@ def probe_alternative(level: int, samples: int = 200, seed: int = 0) -> Alternat
     Scans, in turn, the repeated-argument basis triples, the basis triples
     for antisymmetry failures [e_i, e_j, e_k] != -[e_j, e_i, e_k] (each
     gives the repeated-argument witness u = e_i + e_j), and random
-    repeated-argument triples.  Each scan stops at its first witness; the
-    random scan runs even after a basis witness, which is reported in
-    preference to its own.  `random_checks` reads 3 * samples, though no
+    repeated-argument triples.  Each scan stops at its first witness, and
+    the random scan runs only when both basis scans are silent, so never
+    from level 4 on.  `random_checks` still reads 3 * samples, though no
     random triple past the first witness is examined.  A witness's
     associator is computed from its own u and v with the exact product, not
     read off the sign table.  A level, sample count or seed that is not an
@@ -367,6 +367,5 @@ def probe_alternative(level: int, samples: int = 200, seed: int = 0) -> Alternat
     _check_int(samples, "probe samples", 0)
     _check_int(seed, "seed", None)
     basis_checks, witness = _basis_witness(_signs(level), [CDElement.basis(level, i) for i in range(1 << level)])
-    random_witness = _random_witness(level, samples, seed)
-    witness = witness or random_witness
+    witness = witness or _random_witness(level, samples, seed)
     return AlternativityReport(level, not witness, basis_checks, 3 * samples, *(witness or ()))

@@ -9,9 +9,9 @@ u x v = (uv - vu)/2 = Im(uv) is the commutator cross product of
 imaginary elements.  Sphere points are produced by inverse stereographic
 projection on integers: parameters q_i = N_i/D with S = sum N_i^2 give
 (2 N_1 D, ..., 2 N_d D, S - D^2)/(S + D^2), so every coordinate is an
-exact rational.  The random draws, the tangent projection and the cross
-product run on one private layer of integer pairs (numerators,
-denominator), which the public functions reduce once into a `CDElement`.
+exact rational.  The random draws arrive as integer pairs (numerators,
+denominator), the private layer on which the tangent projection and the
+cross product run; the public functions reduce it once into a `CDElement`.
 `verify_j_structure` and `nijenhuis` run their loops on that layer
 directly, so the public functions, the J check and the tensor share one
 cross product; the J check draws its points and tangents there and builds
@@ -63,7 +63,7 @@ from operator import mul
 
 from ._exact import _check_int, _frac, _over_common_denominator
 from ._record import Record
-from .cayley_dickson import CDElement, _kernel, _random_pairs, associator
+from .cayley_dickson import CDElement, _kernel, _random_vector, associator
 from .errors import InternalInvariantError
 
 #: sphere dimension -> level of the ambient doubling algebra
@@ -90,11 +90,10 @@ def _cross(level: int, a, b) -> tuple[list[int], int]:
     return num, a[1] * b[1]
 
 
-def _stereographic(pairs) -> tuple[list[int], int]:
-    """The inverse stereographic image of the parameters q_i = pairs[i][0] /
-    pairs[i][1]: over their common denominator D, q_i = N_i/D, and with
-    S = sum N_i^2 the point is (2 N_1 D, ..., 2 N_d D, S - D^2)/(S + D^2)."""
-    nums, d = _over_common_denominator(pairs)
+def _stereographic(q) -> tuple[list[int], int]:
+    """The inverse stereographic image of the parameters q_i = N_i/D, given
+    as q = (N, D): with S = sum N_i^2, (2 N_1 D, ..., 2 N_d D, S - D^2)/(S + D^2)."""
+    nums, d = q
     s, d2 = sum(map(mul, nums, nums)), d * d
     return [0, *(2 * d * n for n in nums), s - d2], s + d2
 
@@ -108,13 +107,13 @@ def _project(p, w) -> tuple[list[int], int]:
 
 
 def _draw_point(sphere_dim: int, rng: random.Random) -> tuple[list[int], int]:
-    """The stereographic image of `sphere_dim` random parameters."""
-    return _stereographic(_random_pairs(rng, sphere_dim, 9, 9))
+    """The stereographic image of `sphere_dim` random parameters, drawn as (numerators, denominator)."""
+    return _stereographic(_random_vector(rng, sphere_dim, 9, 9))
 
 
 def _draw_tangent(level: int, p, rng: random.Random) -> tuple[list[int], int]:
-    """The tangent projection at the pair p of a random imaginary vector."""
-    num, den = _over_common_denominator(_random_pairs(rng, (1 << level) - 1, 9, 9))
+    """The tangent projection at p of a random imaginary vector, drawn as (numerators, denominator)."""
+    num, den = _random_vector(rng, (1 << level) - 1, 9, 9)
     return _project(p, ([0, *num], den))
 
 
@@ -203,7 +202,8 @@ def rational_sphere_point(sphere_dim: int, params: Sequence) -> SpherePoint:
         raise ValueError(
             f"S^{sphere_dim} needs {sphere_dim} stereographic parameters, got {len(qs)}"
         )
-    return SpherePoint(CDElement._reduced(level, *_stereographic([_frac(q).as_integer_ratio() for q in qs])))
+    q = _over_common_denominator([_frac(x).as_integer_ratio() for x in qs])
+    return SpherePoint(CDElement._reduced(level, *_stereographic(q)))
 
 
 def tangent_projection(p: SpherePoint, w: CDElement) -> TangentVector:

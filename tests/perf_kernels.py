@@ -12,9 +12,9 @@ J check's integer draws of a point and a tangent on S^6, the Nijenhuis
 tensor on S^6, the sampled J check with 250 samples on S^6 and on S^2,
 the sedenion alternativity probe with 60 random samples, as the
 sphere-algebra benchmark workload runs them, and with none, which times
-its basis scans alone (the two rows time nearly the same work, because the
-random scan stops at its first nonzero associator and the first sedenion
-pair holds one), and the octonion probe with 60 samples, where every
+its basis scans alone (the two rows time the same work, because the
+random scan runs only when the basis scans find no witness, and at the
+sedenions they always find one), and the octonion probe with 60 samples, where every
 random triple is computed, the octonions being alternative; a fourth probe
 row starts cold, with the sign tables and compiled products emptied before
 each round, as a fresh process meets them.  The inputs come from the sampler oracles of

@@ -10,12 +10,13 @@ from pathlib import Path
 import pytest
 
 from acstk import cayley_dickson
+from acstk._exact import _over_common_denominator
 from acstk.cayley_dickson import (
     LEVEL_CAP,
     AlternativityReport,
     CDElement,
     _kernel,
-    _random_pairs,
+    _random_vector,
     _signs,
     associator,
     basis_product,
@@ -98,15 +99,16 @@ def test_associator_matches_its_definition():
     [(9, 9), (6, 4), (3, 16), (0, 1)],
     ids=["sphere-samplers", "random_element", "power-of-two-widths", "width-one"],
 )
-def test_random_pairs_match_randint(max_num, max_den):
+def test_random_vector_matches_randint(max_num, max_den):
     # getrandbits with randint's rejection rule: the same values from the same
-    # draws, so the generator's state after the call is the same too.  (9, 9)
-    # is the range of the J check's draws, and (6, 4) that of the probe's
-    # draws and of `random_element_oracle`
+    # draws, over their common denominator, so the generator's state after the
+    # call is the same too.  (9, 9) is the range of the J check's draws, and
+    # (6, 4) that of the probe's draws and of `random_element_oracle`
     for seed in range(40):
         rng, ref = random.Random(seed), random.Random(seed)
-        pairs = _random_pairs(rng, 33, max_num, max_den)
-        assert pairs == [(ref.randint(-max_num, max_num), ref.randint(1, max_den)) for _ in range(33)]
+        vector = _random_vector(rng, 33, max_num, max_den)
+        pairs = [(ref.randint(-max_num, max_num), ref.randint(1, max_den)) for _ in range(33)]
+        assert vector == _over_common_denominator(pairs)
         assert rng.getstate() == ref.getstate()
 
 
@@ -330,6 +332,17 @@ def test_probe_alternative_matches_per_triple_oracle(level, seed):
     assert probe_alternative(level, samples=15, seed=seed) == probe_alternative_oracle(level, 15, seed)
 
 
+@pytest.mark.parametrize("level, samples", [(4, 60), (4, 5), (5, 10)])
+def test_probe_draws_nothing_after_a_basis_witness(monkeypatch, level, samples):
+    # from level 4 on the basis scans find a witness, which the report keeps,
+    # so the random scan is never run
+    def refuse(*args):
+        raise AssertionError("the random scan ran after a basis witness")
+
+    monkeypatch.setattr(cayley_dickson, "_random_witness", refuse)
+    assert probe_alternative(level, samples=samples) == probe_alternative_oracle(level, samples, 0)
+
+
 def test_probe_random_scan_reports_its_first_witness(monkeypatch):
     # no basis scan finds a witness, so the random scan's first one is reported
     monkeypatch.setattr(cayley_dickson, "_basis_associator", lambda *args: 0)
@@ -347,7 +360,7 @@ def test_probe_random_scan_reports_its_first_witness(monkeypatch):
         (3, 7, 70),  # alternative: every random triple is computed and examined, 10 products a pair
         (2, 5, 50),
         (4, 0, 4),  # the basis witness's associator
-        (4, 60, 14),  # that associator, then the first pair, which holds the first nonzero associator
+        (4, 60, 4),  # the same: a basis witness leaves the random scan unrun
     ],
 )
 def test_probe_computes_only_the_products_it_reads(monkeypatch, level, samples, products):
