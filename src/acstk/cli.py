@@ -37,7 +37,8 @@ LPOLY_MAX_K = 20
 SERIES_MAX_ORDER = 300
 
 #: Largest `bernoulli --k`.  B_1..B_500 take well under a second, but this cap
-#: also sets CLASSIFY_MAX_N, and one Chern check at n = 1998 takes about 1.2 s.
+#: also sets CLASSIFY_MAX_N, and one Chern check at n = 1998 takes about 1.5 s
+#: cold on Python 3.11.7.
 BERNOULLI_MAX_K = 100
 
 #: Largest `classify` dimension, and largest `--range` end.  The signature

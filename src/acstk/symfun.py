@@ -101,14 +101,20 @@ class GradedPoly:
 
     def _operand(self, other):
         """`other` as a polynomial over these generators, or None when it
-        is neither a rational nor a polynomial."""
+        is neither a rational nor a polynomial.
+
+        A polynomial is tested first, by exact type, and a rational second.
+        The two cases are disjoint, so the order changes no result; but
+        `Fraction`'s metaclass is `ABCMeta`, so `isinstance(p, (int,
+        Fraction))` on a polynomial p runs `ABCMeta.__instancecheck__`, and
+        most operands of `+` and `-` on the Chern route are polynomials."""
+        if type(other) is type(self):
+            if self.generators != other.generators or self.weights != other.weights:
+                raise ValueError("graded polynomials over different generators")
+            return other
         if isinstance(other, (int, Fraction)):
             return self._like({(0,) * len(self.generators): _frac(other)})
-        if type(other) is not type(self):
-            return None
-        if self.generators != other.generators or self.weights != other.weights:
-            raise ValueError("graded polynomials over different generators")
-        return other
+        return None
 
     def __add__(self, other):
         other = self._operand(other)

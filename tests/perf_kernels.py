@@ -24,6 +24,9 @@ ascending order, as `acstk bernoulli --k 100` asks for them,
 q_0..q_300, as `acstk series q --order 300` asks for them, the s_series
 oracle to order 100, the generating series of the s_k, and L_1..L_7 and
 L_1..L_20 in ascending order, as `acstk lpoly --k 7` and `--k 20` do.
+The Chern row runs `check_chern_divisibility(n)` for every n = 2 mod 4
+with 6 < n <= 300 in ascending order, as `acstk classify --range 1..300`
+meets them, the route that takes most of that command's time.
 Every genus row starts cold: the `l_polynomial`, `newton_polynomial`,
 `s_coefficient` and `bernoulli` caches and the tangent-number table are
 emptied before each round.  The start-up rows time a fresh
@@ -41,6 +44,7 @@ import pytest
 
 from acstk import genera
 from acstk.cayley_dickson import _kernel, _signs, associator, probe_alternative
+from acstk.classify import check_chern_divisibility
 from acstk.genera import bernoulli, l_polynomial, q_coefficient, s_coefficient
 from acstk.sphere_acs import _draw_point, _draw_tangent, cross, nijenhuis, verify_j_structure
 from acstk.symfun import newton_polynomial
@@ -127,6 +131,11 @@ def test_s_series_100_cold(benchmark):
 @pytest.mark.parametrize("k_max, rounds", [(7, 20), (20, 5)])
 def test_l_polynomials_cold(benchmark, k_max, rounds):
     benchmark.pedantic(lambda: [l_polynomial(k) for k in range(1, k_max + 1)], setup=_cold_genera, rounds=rounds)
+
+
+def test_chern_divisibility_to_300_cold(benchmark):
+    dims = range(10, 301, 4)
+    benchmark.pedantic(lambda: [check_chern_divisibility(n) for n in dims], setup=_cold_genera, rounds=5)
 
 
 @pytest.mark.parametrize("statement", ["import acstk", "from acstk import CDElement"])

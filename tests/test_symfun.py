@@ -1,14 +1,20 @@
+import abc
+import math
+import operator
 import os
 import random
 import shutil
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from acstk.genera import l_polynomial
+from acstk.cayley_dickson import CDElement
+from acstk.char_class import SphereCohomologyClass
+from acstk.genera import chern_character, l_polynomial
 from acstk.symfun import GradedPoly, newton_polynomial, power_sums_from_values
 from oracles import (
     beta_variables,
@@ -262,6 +268,67 @@ def test_variable_mismatch_is_rejected():
         a + b
     with pytest.raises(ValueError, match="does not match 1 generators"):
         unit_poly(("x",), {(1, 2): 1})
+
+
+def _over_x(*coeffs):
+    """c_0 + c_1*x + c_2*x^2 + ... over one generator x of weight 1."""
+    return GradedPoly(("x",), (1,), {(e,): c for e, c in enumerate(coeffs)})
+
+
+@pytest.mark.parametrize(
+    "op", [operator.add, operator.sub, lambda p, other: other + p], ids=["add", "sub", "radd"]
+)
+@pytest.mark.parametrize(
+    "other, outcome",
+    [
+        # (p + other, p - other) for p = x, or the error every operation raises
+        (_over_x(0, 0, 3), (_over_x(0, 1, 3), _over_x(0, 1, -3))),
+        (GradedPoly.generator(("y",), (1,), "y"), (ValueError, "^graded polynomials over different generators$")),
+        (3, (_over_x(3, 1), _over_x(-3, 1))),
+        (Fraction(1, 2), (_over_x(Fraction(1, 2), 1), _over_x(Fraction(-1, 2), 1))),
+        (True, (TypeError, "^coefficients must be exact rationals, got the bool True$")),
+        (0.5, (TypeError, "float")),
+        (Decimal("0.5"), (TypeError, "Decimal")),
+        ("x", (TypeError, "str")),
+        (CDElement(1, [1, 2]), (TypeError, "CDElement")),
+        (SphereCohomologyClass(2, 1, 0), (TypeError, "SphereCohomologyClass")),
+    ],
+    ids=["same-ring", "other-ring", "int", "fraction", "bool", "float", "decimal", "str",
+         "cd-element", "sphere-class"],
+)
+def test_additive_operand_outcomes(other, outcome, op):
+    x = GradedPoly.generator(("x",), (1,), "x")
+    if isinstance(outcome[0], type):
+        with pytest.raises(outcome[0], match=outcome[1]):
+            op(x, other)
+    else:
+        assert op(x, other) == outcome[op is operator.sub]
+
+
+def test_chern_route_additions_run_no_abc_instance_check():
+    # `Fraction`'s metaclass is ABCMeta, so isinstance(poly, Fraction) runs
+    # ABCMeta.__instancecheck__; `_operand` tests the polynomial case first
+    # and makes no such call.  `__mul__` still tests the scalar case first:
+    # one call per product of two polynomials, m(m-1)/2 in the recursion.
+    m = 9
+    x = GradedPoly.generator(("x",), (m,), "x")
+    classes = [GradedPoly.zero(("x",), (m,))] * (m - 1) + [x]
+    instancecheck = abc.ABCMeta.__instancecheck__.__code__
+    callers = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is instancecheck:
+            callers.append(frame.f_back.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        ch = chern_character(classes, m)
+    finally:
+        sys.setprofile(previous)
+    assert ch == GradedPoly(("x",), (m,), {(0,): m, (1,): Fraction(1, math.factorial(m - 1))})
+    assert callers.count(GradedPoly._operand.__code__) == 0
+    assert callers.count(GradedPoly.__mul__.__code__) == m * (m - 1) // 2
 
 
 def test_graded_poly_weights_and_truncation():
